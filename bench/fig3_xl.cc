@@ -6,7 +6,7 @@
 //
 // Deployments this large take the streamed O(n)-byte delay model (see
 // docs/performance.md) instead of the n×n matrix: at 10k validators the
-// matrix alone would cost ~1.6 GB, more than the whole 1-vCPU container.
+// matrix alone would cost ~1.6 GB per cell.
 // DIABLO_XL_MAX_N caps the validator axis (CI smoke runs use 1000).
 #include <cstdlib>
 #include <vector>

@@ -39,11 +39,6 @@ void ExecutionLayer() {
     std::printf(" %14s", contract);
   }
   std::printf("\n");
-  const struct {
-    VmDialect dialect;
-    const char* function;
-  } kCalls[] = {{VmDialect::kGeth, nullptr}, {VmDialect::kEbpf, nullptr}};
-  (void)kCalls;
   for (const VmDialect dialect :
        {VmDialect::kGeth, VmDialect::kAvm, VmDialect::kMoveVm, VmDialect::kEbpf}) {
     std::printf("%-10s", std::string(DialectName(dialect)).c_str());
