@@ -9,94 +9,10 @@
 
 #include "src/support/check.h"
 #include "src/support/profile.h"
+#include "src/support/select.h"
 
 namespace diablo {
 namespace {
-
-// Exact selection of the k-th smallest (0-based) of v[0..cnt) by insertion
-// sort; the branch-predictable choice for the short inputs (committees,
-// devnet-sized deployments) where partitioning overhead dominates.
-SimDuration InsertionSelect(SimDuration* v, size_t cnt, size_t k) {
-  for (size_t i = 1; i < cnt; ++i) {
-    const SimDuration x = v[i];
-    size_t j = i;
-    for (; j > 0 && v[j - 1] > x; --j) {
-      v[j] = v[j - 1];
-    }
-    v[j] = x;
-  }
-  return v[k];
-}
-
-// Selection within an already-filtered window: the k-th overall sits kk deep
-// in the w values of [center-span, center+span]. Exact regardless of how the
-// window was produced; also recenters/retunes the hint for the next round.
-SimDuration SelectFromWindow(SimDuration* win, size_t w, size_t kk, SelectionHint& hint) {
-  SimDuration ans;
-  if (w <= 32) {
-    ans = InsertionSelect(win, w, kk);
-  } else {
-    std::nth_element(win, win + static_cast<long>(kk), win + static_cast<long>(w));
-    ans = win[kk];
-  }
-  hint.center = ans;
-  // Proportional control on the window population: (w, span) measures the
-  // local density directly, so steer the next span toward capturing ~20
-  // values — big enough to absorb drift between consecutive selections,
-  // small enough that selection stays in cheap insertion-sort territory.
-  hint.span = hint.span * 20 / static_cast<SimDuration>(w) + 512;
-  return ans;
-}
-
-// nth_element fallback (first round, regime change), reseeding the window
-// from the local spread above the answer so the first carried round already
-// has a tight-but-safe span.
-SimDuration SelectFallback(SimDuration* buf, size_t cnt, size_t k, SelectionHint& hint) {
-  std::nth_element(buf, buf + static_cast<long>(k), buf + static_cast<long>(cnt));
-  const SimDuration ans = buf[k];
-  const size_t hi_i = std::min(k + 12, cnt - 1);
-  if (hi_i > k) {
-    std::nth_element(buf + static_cast<long>(k) + 1, buf + static_cast<long>(hi_i),
-                     buf + static_cast<long>(cnt));
-  }
-  hint.center = ans;
-  hint.span = 2 * (buf[hi_i] - ans) + 1024;
-  hint.valid = true;
-  return ans;
-}
-
-// Exact k-th smallest with a carried value window. nth_element on
-// fresh-per-round data is branch-misprediction bound; consecutive rounds of
-// the same vote stage select from near-identical distributions, so we keep a
-// [center-span, center+span] window around the last answer, copy only the
-// values inside it (a predictable streaming pass), and select within. When
-// the window misses (first round, regime change) we fall back to nth_element
-// and re-derive the window from the freshly partitioned buffer. The returned
-// value is the exact order statistic either way — the hint only decides how
-// much data the selection touches.
-SimDuration WindowSelect(SimDuration* buf, size_t cnt, size_t k, SimDuration* win,
-                         SelectionHint& hint) {
-  if (cnt <= 24) {
-    return InsertionSelect(buf, cnt, k);
-  }
-  if (hint.valid) {
-    const SimDuration lo = hint.center - hint.span;
-    const SimDuration hi = hint.center + hint.span;
-    size_t below = 0;
-    size_t w = 0;
-    for (size_t i = 0; i < cnt; ++i) {
-      const SimDuration v = buf[i];
-      below += v < lo;
-      win[w] = v;
-      w += static_cast<size_t>((v >= lo) & (v <= hi));
-    }
-    if (k >= below && k - below < w) {
-      return SelectFromWindow(win, w, k - below, hint);
-    }
-    hint.valid = false;
-  }
-  return SelectFallback(buf, cnt, k, hint);
-}
 
 // Fills buf with the arrival times of all reachable votes at `receiver` and
 // returns how many there are. The hop_scale multiply runs in integer
@@ -136,63 +52,13 @@ size_t ScanArrivals(const PairwiseDelays& delays,
   return cnt;
 }
 
-// Fused scan + window filter for the all-receivers reduction: one lean pass
-// over the senders counts reachable arrivals, counts values below the carried
-// window, and compacts the in-window values into win — without materialising
-// the full arrival set. On a window hit (the steady-state case) that single
-// pass is all the data movement a receiver costs; only a window miss pays a
-// second, plain scan to fill buf for the nth_element fallback.
-struct WindowedScan {
-  size_t cnt = 0;
-  size_t below = 0;
-  size_t w = 0;
-};
-
-WindowedScan ScanArrivalsWindowed(const PairwiseDelays& delays,
-                                  const std::vector<SimDuration>& send_times,
-                                  size_t receiver, double hop_scale, SimDuration* win,
-                                  SimDuration lo, SimDuration hi) {
-  const size_t n = send_times.size();
-  const SimDuration* col = delays.column(receiver);
-  const SimDuration* sends = send_times.data();
-  WindowedScan scan;
-  const double floor_scale = std::floor(hop_scale);
-  const bool integral = hop_scale == floor_scale && hop_scale >= 1.0 && hop_scale < 65536.0;
-  const SimDuration int_scale = integral ? static_cast<SimDuration>(hop_scale) : 1;
-  if (integral && delays.max_delay() <= (int64_t{1} << 52) / int_scale) {
-    for (size_t j = 0; j < n; ++j) {
-      const SimDuration s = sends[j];
-      const SimDuration hop = col[j];
-      const SimDuration v = s + hop * int_scale;
-      const size_t keep =
-          static_cast<size_t>((s != kUnreachable) & (hop != kUnreachable));
-      scan.cnt += keep;
-      scan.below += keep & static_cast<size_t>(v < lo);
-      win[scan.w] = v;
-      scan.w += keep & static_cast<size_t>((v >= lo) & (v <= hi));
-    }
-    return scan;
-  }
-  for (size_t j = 0; j < n; ++j) {
-    const SimDuration s = sends[j];
-    const SimDuration hop = col[j];
-    const SimDuration v = s + static_cast<SimDuration>(static_cast<double>(hop) * hop_scale);
-    const size_t keep = static_cast<size_t>((s != kUnreachable) & (hop != kUnreachable));
-    scan.cnt += keep;
-    scan.below += keep & static_cast<size_t>(v < lo);
-    win[scan.w] = v;
-    scan.w += keep & static_cast<size_t>((v >= lo) & (v <= hi));
-  }
-  return scan;
-}
-
 #if defined(DIABLO_CHECKED)
-// Sampled cross-check of the adaptive-window selector: the carried hints are
-// pure accelerators, so every answer must equal a from-scratch nth_element
-// over a fresh arrival scan. The tick is process-wide (cells run on worker
-// threads in parallel sweeps), relaxed, and never feeds back into results,
-// so a nondeterministic sampling pattern is harmless. 257 is prime to avoid
-// phase-locking with common validator counts.
+// Sampled cross-check of the bucket selector: every answer must equal a
+// from-scratch nth_element over a fresh arrival scan. The tick is
+// process-wide (cells run on worker threads in parallel sweeps), relaxed, and
+// never feeds back into results, so a nondeterministic sampling pattern is
+// harmless. 257 is prime to avoid phase-locking with common validator
+// counts.
 std::atomic<uint64_t> g_select_tick{0};
 constexpr uint64_t kSelectCheckCadence = 257;
 
@@ -210,7 +76,7 @@ void CheckQuorumSelection(const PairwiseDelays& delays,
   ref.resize(cnt);
   std::nth_element(ref.begin(), ref.begin() + static_cast<long>(k), ref.end());
   DIABLO_CHECK(ref[k] == got,
-               "windowed quorum selection disagrees with nth_element reference");
+               "bucket quorum selection disagrees with nth_element reference");
 }
 #endif
 
@@ -274,21 +140,17 @@ SimDuration QuorumArrival(const PairwiseDelays& delays,
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot) {
+                              MessagePlaneScratch* scratch) {
   if (quorum == 0) {
     return kUnreachable;
   }
-  const size_t n = send_times.size();
-  scratch->buf.resize(n);
-  scratch->win.resize(n);
+  scratch->buf.resize(send_times.size());
   const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale,
                                   scratch->buf.data());
   if (cnt < quorum) {
     return kUnreachable;
   }
-  const SimDuration selected =
-      WindowSelect(scratch->buf.data(), cnt, quorum - 1, scratch->win.data(),
-                   scratch->quorum_hint[hint_slot]);
+  const SimDuration selected = SelectKth(scratch->buf.data(), cnt, quorum - 1);
 #if defined(DIABLO_CHECKED)
   if (SelectCheckDue()) {
     CheckQuorumSelection(delays, send_times, receiver, hop_scale, quorum - 1, selected);
@@ -309,80 +171,17 @@ std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot) {
+                          std::vector<SimDuration>* result) {
   const size_t n = send_times.size();
   result->assign(n, kUnreachable);
   profile::CountVoteRound();
   if (quorum == 0) {
     return;
   }
-  scratch->buf.resize(n);
-  scratch->win.resize(n);
-  SelectionHint& hint = scratch->quorum_hint[hint_slot];
-  SimDuration* buf = scratch->buf.data();
-  SimDuration* win = scratch->win.data();
-  SimDuration* out = result->data();
-  const size_t k = quorum - 1;
   for (size_t receiver = 0; receiver < n; ++receiver) {
-    if (!hint.valid) {
-      const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale, buf);
-      if (cnt < quorum) {
-        continue;
-      }
-      out[receiver] = WindowSelect(buf, cnt, k, win, hint);
-      continue;
-    }
-    WindowedScan scan = ScanArrivalsWindowed(
-        delays, send_times, receiver, hop_scale, win,
-        hint.center - hint.span, hint.center + hint.span);
-    if (scan.cnt < quorum) {
-      continue;
-    }
-    if (scan.cnt > 24) {
-      SimDuration span_cap = 0;
-      if (k < scan.below || k - scan.below >= scan.w) {
-        // Window missed the target rank: widen once and rescan. A second
-        // lean pass is far cheaper than materialising the full arrival set
-        // for the nth_element fallback, and the widened window nearly always
-        // recaptures the rank since the distribution drifts slowly. The
-        // widening is transient — the span is capped back after selection so
-        // one outlier does not inflate every later window.
-        span_cap = hint.span * 2 + 1024;
-        hint.span = hint.span * 4 + 4096;
-        scan = ScanArrivalsWindowed(delays, send_times, receiver, hop_scale, win,
-                                    hint.center - hint.span, hint.center + hint.span);
-      }
-      if (k >= scan.below && k - scan.below < scan.w) {
-        out[receiver] = SelectFromWindow(win, scan.w, k - scan.below, hint);
-        if (span_cap != 0 && hint.span > span_cap) {
-          hint.span = span_cap;
-        }
-        continue;
-      }
-    }
-    // Window miss (or tiny arrival set): pay a second scan to materialise the
-    // full arrival set, then select exactly as the cold path would.
-    const size_t cnt = ScanArrivals(delays, send_times, receiver, hop_scale, buf);
-    if (cnt <= 24) {
-      out[receiver] = InsertionSelect(buf, cnt, k);
-      continue;
-    }
-    hint.valid = false;
-    out[receiver] = SelectFallback(buf, cnt, k, hint);
+    (*result)[receiver] =
+        QuorumArrivalInto(delays, send_times, receiver, quorum, hop_scale, scratch);
   }
-#if defined(DIABLO_CHECKED)
-  // Second pass so every assignment path above (windowed hit, widened retry,
-  // insertion select, fallback) funnels through one reference comparison.
-  for (size_t receiver = 0; receiver < n; ++receiver) {
-    if (out[receiver] == kUnreachable) {
-      continue;
-    }
-    if (!SelectCheckDue()) {
-      continue;
-    }
-    CheckQuorumSelection(delays, send_times, receiver, hop_scale, k, out[receiver]);
-  }
-#endif
 }
 
 double GossipHopScale(int n) {
@@ -406,7 +205,6 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch) {
   const size_t n = delays.size();
   scratch->buf.resize(n);
-  scratch->win.resize(n);
   SimDuration* buf = scratch->buf.data();
   size_t cnt = 0;
   for (const SimDuration d : delays) {
@@ -416,8 +214,7 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
   if (cnt == 0) {
     return kUnreachable;
   }
-  const SimDuration median =
-      WindowSelect(buf, cnt, cnt / 2, scratch->win.data(), scratch->median_hint);
+  const SimDuration median = SelectKth(buf, cnt, cnt / 2);
 #if defined(DIABLO_CHECKED)
   if (SelectCheckDue()) {
     std::vector<SimDuration> ref;
@@ -430,7 +227,7 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
     std::nth_element(ref.begin(), ref.begin() + static_cast<long>(ref.size() / 2),
                      ref.end());
     DIABLO_CHECK(ref[ref.size() / 2] == median,
-                 "windowed median disagrees with nth_element reference");
+                 "bucket-selected median disagrees with nth_element reference");
   }
 #endif
   return median;
@@ -473,10 +270,10 @@ void CheckStreamedQuorum(const StreamedDelays& model,
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot) {
+                              MessagePlaneScratch* scratch) {
   if (delays.dense()) {
     return QuorumArrivalInto(delays.matrix(), send_times, receiver, quorum,
-                             hop_scale, scratch, hint_slot);
+                             hop_scale, scratch);
   }
   const SimDuration got =
       QuorumArrivalLargeN(delays.streamed(), send_times.data(), send_times.size(),
@@ -493,10 +290,10 @@ SimDuration QuorumArrivalInto(const VoteDelays& delays,
 void QuorumArrivalAllInto(const VoteDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot) {
+                          std::vector<SimDuration>* result) {
   if (delays.dense()) {
     QuorumArrivalAllInto(delays.matrix(), send_times, quorum, hop_scale, scratch,
-                         result, hint_slot);
+                         result);
     return;
   }
   const size_t n = send_times.size();
@@ -530,7 +327,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
                                 const std::vector<uint32_t>& receivers, size_t n,
                                 size_t quorum, double hop_scale,
                                 MessagePlaneScratch* scratch,
-                                std::vector<SimDuration>* result, int hint_slot) {
+                                std::vector<SimDuration>* result) {
   result->assign(n, kUnreachable);
   profile::CountVoteRound();
   if (quorum == 0) {
@@ -550,7 +347,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
         continue;
       }
       (*result)[r] = QuorumArrivalInto(delays.matrix(), scratch->expanded, r,
-                                       quorum, hop_scale, scratch, hint_slot);
+                                       quorum, hop_scale, scratch);
     }
     return;
   }

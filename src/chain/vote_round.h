@@ -11,9 +11,9 @@
 // over caller-owned scratch (MessagePlaneScratch) instead of allocating per
 // receiver: steady-state vote rounds perform zero heap allocations. The
 // selection step is exact — a k-th order statistic is a value, not an
-// algorithm — so the adaptive-window selector below produces bit-identical
-// results to a plain sort-and-index while skipping most of the partitioning
-// work on the (highly similar) rounds that follow one another.
+// algorithm — so the stateless bucket selector (SelectKth,
+// src/support/select.h) produces bit-identical results to a plain
+// sort-and-index at a fraction of std::nth_element's cost.
 #ifndef SRC_CHAIN_VOTE_ROUND_H_
 #define SRC_CHAIN_VOTE_ROUND_H_
 
@@ -158,27 +158,12 @@ class VoteDelays {
   std::unique_ptr<StreamedDelays> streamed_;
 };
 
-// Carry-over state for the adaptive-window selector. Purely an accelerator:
-// whatever the hint holds, the selected value is exact, so this state never
-// influences simulation output — only how fast it is produced.
-struct SelectionHint {
-  SimDuration center = 0;
-  SimDuration span = 0;
-  bool valid = false;
-};
-
-// Reusable working memory for one engine's message plane: order-statistic
-// buffers, per-round stage vectors, and broadcast scratch. Allocated once per
+// Reusable working memory for one engine's message plane: the order-statistic
+// buffer, per-round stage vectors, and broadcast scratch. Allocated once per
 // ChainContext and warm after the first round.
 struct MessagePlaneScratch {
-  // Selection working buffers (sized to the validator count on first use).
+  // Selection working buffer (sized to the validator count on first use).
   std::vector<SimDuration> buf;
-  std::vector<SimDuration> win;
-  // One hint per vote stage: the two QuorumArrivalAll stages of a
-  // PBFT-style round see different delay distributions, so they track
-  // separate windows. The median has its own.
-  SelectionHint quorum_hint[2];
-  SelectionHint median_hint;
   // Per-round vectors the engines refill each round.
   std::vector<SimDuration> stage_a;
   std::vector<SimDuration> stage_b;
@@ -214,17 +199,15 @@ std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
                                           size_t quorum, double hop_scale = 1.0);
 
 // Allocation-free forms over caller scratch; results are bit-identical to the
-// allocating versions. `hint_slot` (0 or 1) picks which carried selection
-// window to use — engines pass 0 for their first vote stage and 1 for the
-// second.
+// allocating versions.
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot = 0);
+                              MessagePlaneScratch* scratch);
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot = 0);
+                          std::vector<SimDuration>* result);
 
 // Expected relay hops for flooding a vote through a p2p mesh of n nodes
 // with ~25 direct peers: 1 + log2(n / 25), at least 1.
@@ -243,7 +226,7 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch);
 
 // --- facade kernels over either delay representation ------------------------
-// Dense deployments dispatch to the exact windowed kernels above (results are
+// Dense deployments dispatch to the exact dense kernels above (results are
 // bit-identical to calling them directly); streamed deployments run the
 // large-N kernels, which never touch an n×n matrix. In checked builds the
 // streamed answers are cross-checked against the dense kernels over a
@@ -252,12 +235,12 @@ SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
 SimDuration QuorumArrivalInto(const VoteDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
-                              MessagePlaneScratch* scratch, int hint_slot = 0);
+                              MessagePlaneScratch* scratch);
 
 void QuorumArrivalAllInto(const VoteDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
-                          std::vector<SimDuration>* result, int hint_slot = 0);
+                          std::vector<SimDuration>* result);
 
 // Committee-sampled round: the arrival of `quorum` of the listed senders'
 // votes, evaluated only at the listed receivers. `result` is sized to n with
@@ -271,7 +254,7 @@ void QuorumArrivalCommitteeInto(const VoteDelays& delays,
                                 const std::vector<uint32_t>& receivers, size_t n,
                                 size_t quorum, double hop_scale,
                                 MessagePlaneScratch* scratch,
-                                std::vector<SimDuration>* result, int hint_slot = 0);
+                                std::vector<SimDuration>* result);
 
 }  // namespace diablo
 

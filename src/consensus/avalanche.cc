@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/select.h"
+
 namespace diablo {
 
 AvalancheEngine::AvalancheEngine(ChainContext* ctx)
@@ -49,10 +51,8 @@ SimDuration AvalancheEngine::DecisionTime(int node, bool conflicted) {
       }
       round_trips.push_back(one_way == kUnreachable ? Seconds(2) : 2 * one_way);
     }
-    std::nth_element(round_trips.begin(),
-                     round_trips.begin() + static_cast<long>(alpha - 1),
-                     round_trips.end());
-    total += round_trips[alpha - 1] + Milliseconds(2);  // reply processing
+    total += SelectKth(round_trips.data(), round_trips.size(), alpha - 1) +
+             Milliseconds(2);  // reply processing
   }
   return total;
 }

@@ -1,12 +1,12 @@
 #include "src/net/network.h"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "src/support/check.h"
+#include "src/support/select.h"
 
 namespace diablo {
 
@@ -282,14 +282,12 @@ SimDuration StreamedDelays::at(size_t from, size_t to) const {
 namespace {
 
 // Shared tail of both QuorumArrivalLargeN forms: exact k-th smallest of the
-// collected arrivals.
+// collected arrivals, by the same selector as the dense kernels.
 SimDuration SelectQuorum(std::vector<SimDuration>* arrivals, size_t quorum) {
   if (arrivals->size() < quorum) {
     return kUnreachable;
   }
-  std::nth_element(arrivals->begin(), arrivals->begin() + static_cast<long>(quorum - 1),
-                   arrivals->end());
-  return (*arrivals)[quorum - 1];
+  return SelectKth(arrivals->data(), arrivals->size(), quorum - 1);
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 //
 // Configuring with -DDIABLO_CHECKED=ON compiles consistency checks into the
 // sim/chain/net hot paths — event pop monotonicity, mempool SoA table
-// agreement, block (tx_begin, tx_count) ranges, windowed order-statistic
-// results cross-checked against nth_element, ledger header continuity. The
-// checks give detlint's hazard classes runtime teeth: a rule the lint can
+// agreement, block (tx_begin, tx_count) ranges, bucket-selected order
+// statistics cross-checked against nth_element, ledger header continuity.
+// The checks give detlint's hazard classes runtime teeth: a rule the lint can
 // only pattern-match (say, a reduction order silently changing) trips here
 // the moment it produces a wrong value.
 //

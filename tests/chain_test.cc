@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <initializer_list>
+#include <limits>
+#include <utility>
 
 #include "src/chain/block.h"
 #include "src/chain/execution.h"
@@ -10,6 +14,7 @@
 #include "src/chain/tx.h"
 #include "src/chain/vote_round.h"
 #include "src/chains/params.h"
+#include "src/support/select.h"
 
 namespace diablo {
 namespace {
@@ -481,18 +486,18 @@ TEST(VoteRoundTest, PairwiseDelaysDeterministicPerSeed) {
   EXPECT_NE(build(99), build(100));
 }
 
-TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
-  // The exactness lock: for a multi-region jittered matrix and send times
-  // with unreachable holes, QuorumArrival must return exactly the
-  // (quorum-1)-th order statistic of {send[j] + trunc(hop * scale)} over
-  // reachable (sender, edge) pairs — for every receiver, quorum and scale.
+// Checks QuorumArrival/QuorumArrivalAll on an n-node multi-region jittered
+// matrix against sorting every receiver's reachable arrivals, at each hop
+// scale and at ranks 1, `quorum`, n/3 and the full reachable set.
+void ExpectQuorumArrivalMatchesSort(int n, const char* deployment,
+                                    std::initializer_list<double> hop_scales,
+                                    size_t quorum) {
   Simulation sim(1234);
   Network net(&sim);
-  const DeploymentConfig devnet = GetDeployment("devnet");
-  const int n = 37;
+  const DeploymentConfig config = GetDeployment(deployment);
   std::vector<HostId> hosts;
   for (int i = 0; i < n; ++i) {
-    hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
+    hosts.push_back(net.AddHost(config.NodeRegion(i)));
   }
   PairwiseDelays delays(&net, hosts, 256);
 
@@ -504,9 +509,8 @@ TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
             : static_cast<SimDuration>(rng.NextBelow(static_cast<uint64_t>(Seconds(2))));
   }
 
-  for (const double hop_scale : {1.0, 2.0, 4.0, 1.0 + std::log2(37.0 / 25.0)}) {
-    const std::vector<SimDuration> all =
-        QuorumArrivalAll(delays, sends, /*quorum=*/25, hop_scale);
+  for (const double hop_scale : hop_scales) {
+    const std::vector<SimDuration> all = QuorumArrivalAll(delays, sends, quorum, hop_scale);
     ASSERT_EQ(all.size(), sends.size());
     for (size_t receiver = 0; receiver < sends.size(); ++receiver) {
       std::vector<SimDuration> arrivals;
@@ -519,13 +523,77 @@ TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
                                static_cast<double>(delays.at(j, receiver)) * hop_scale));
       }
       std::sort(arrivals.begin(), arrivals.end());
-      for (const size_t quorum : {size_t{1}, size_t{13}, size_t{25}, arrivals.size()}) {
+      for (const size_t rank : {size_t{1}, quorum, sends.size() / 3, arrivals.size()}) {
         const SimDuration expected =
-            quorum == 0 || arrivals.size() < quorum ? kUnreachable : arrivals[quorum - 1];
-        EXPECT_EQ(QuorumArrival(delays, sends, receiver, quorum, hop_scale), expected)
-            << "receiver " << receiver << " quorum " << quorum << " scale " << hop_scale;
+            rank == 0 || arrivals.size() < rank ? kUnreachable : arrivals[rank - 1];
+        EXPECT_EQ(QuorumArrival(delays, sends, receiver, rank, hop_scale), expected)
+            << "n " << n << " receiver " << receiver << " rank " << rank << " scale "
+            << hop_scale;
       }
-      EXPECT_EQ(all[receiver], QuorumArrival(delays, sends, receiver, 25, hop_scale));
+      EXPECT_EQ(all[receiver], QuorumArrival(delays, sends, receiver, quorum, hop_scale));
+    }
+  }
+}
+
+TEST(VoteRoundTest, QuorumArrivalMatchesSortReference) {
+  // The exactness lock: QuorumArrival must return exactly the (quorum-1)-th
+  // order statistic of {send[j] + trunc(hop * scale)} over reachable
+  // (sender, edge) pairs — for every receiver, quorum and scale. With 1 in 8
+  // senders silent, n = 37 leaves about 32 arrivals, the insertion-select
+  // cut-off; n = 200 at hop scale 4 is the consortium shape of the fig2
+  // grid; 511 is the largest dense deployment.
+  ExpectQuorumArrivalMatchesSort(37, "devnet",
+                                 {1.0, 2.0, 4.0, 1.0 + std::log2(37.0 / 25.0)}, 25);
+  ExpectQuorumArrivalMatchesSort(200, "consortium", {GossipHopScale(200)},
+                                 static_cast<size_t>(ByzantineQuorum(200)));
+  ExpectQuorumArrivalMatchesSort(511, "consortium", {1.0, GossipHopScale(511)},
+                                 static_cast<size_t>(ByzantineQuorum(511)));
+}
+
+// Direct exactness of SelectKth against std::sort on adversarial inputs:
+// every rank, at sizes on both sides of the insertion-select cut-off.
+TEST(VoteRoundTest, SelectKthMatchesSortOnAdversarialInputs) {
+  Rng rng(31);
+  const std::vector<std::pair<const char*, std::function<int64_t(size_t)>>> shapes = {
+      {"all equal", [](size_t) { return int64_t{42}; }},
+      {"two values", [&](size_t) { return rng.NextBelow(2) == 0 ? int64_t{-5} : int64_t{7}; }},
+      // Most values share one top-level bucket and differ only in low bits,
+      // so selection has to recurse into that bucket.
+      {"one heavy bucket",
+       [&](size_t i) {
+         return i % 17 == 0 ? static_cast<int64_t>(rng.NextBelow(uint64_t{1} << 40))
+                            : (int64_t{1} << 40) + static_cast<int64_t>(rng.NextBelow(64));
+       }},
+      // Near INT64_MIN..INT64_MAX: the range only fits as an unsigned difference.
+      {"full int64 range",
+       [&](size_t i) {
+         if (i == 0) {
+           return std::numeric_limits<int64_t>::min() + 1;
+         }
+         if (i == 1) {
+           return std::numeric_limits<int64_t>::max() - 1;
+         }
+         return static_cast<int64_t>(rng.NextU64());
+       }},
+      {"arrival-like",
+       [&](size_t) {
+         return Milliseconds(50) + static_cast<int64_t>(rng.NextBelow(
+                                       static_cast<uint64_t>(Milliseconds(200))));
+       }},
+  };
+  for (const auto& [name, draw] : shapes) {
+    for (const size_t cnt : {1, 31, 32, 33, 200, 512}) {
+      std::vector<int64_t> input(cnt);
+      for (size_t i = 0; i < cnt; ++i) {
+        input[i] = draw(i);
+      }
+      std::vector<int64_t> sorted = input;
+      std::sort(sorted.begin(), sorted.end());
+      for (size_t k = 0; k < cnt; ++k) {
+        std::vector<int64_t> work = input;
+        ASSERT_EQ(SelectKth(work.data(), cnt, k), sorted[k])
+            << name << " cnt " << cnt << " k " << k;
+      }
     }
   }
 }
