@@ -222,6 +222,35 @@ void BM_EventLoopSboFunctor(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopSboFunctor)->Arg(1000)->Arg(100000);
 
+// The "hold" model: the queue keeps `pending` events in flight, and each
+// step pops the earliest and schedules a replacement a random delay later,
+// so every pop sifts a key down the full depth of the heap. 1,567 is the
+// mean number of pending events on perfbench's dapp-burst (mostly
+// client->endpoint network hops). BM_EventLoop schedules in time order and
+// never sifts deep.
+void BM_EventLoopInFlight(benchmark::State& state) {
+  const int64_t pending = state.range(0);
+  constexpr uint64_t kSpan = 200'000'000;  // 200 ms of simulated delay
+  EventQueue queue;
+  Rng rng(7);
+  uint64_t sink = 0;
+  for (int64_t i = 0; i < pending; ++i) {
+    FatCapture capture{&sink, static_cast<uint64_t>(i), 2, 3};
+    queue.Push(static_cast<SimTime>(rng.NextBelow(kSpan)),
+               [capture] { *capture.sink += capture.a; });
+  }
+  SimTime now = 0;
+  for (auto _ : state) {
+    queue.Pop(&now)();
+    FatCapture capture{&sink, sink, 2, 3};
+    queue.Push(now + 1 + static_cast<SimTime>(rng.NextBelow(kSpan)),
+               [capture] { *capture.sink += capture.a & 1; });
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopInFlight)->Arg(1567);
+
 void BM_NetworkDelaySample(benchmark::State& state) {
   Simulation sim(1);
   Network net(&sim);
@@ -845,9 +874,9 @@ SimDuration SeedMedianDelay(const std::vector<SimDuration>& delays) {
 
 // A 200-validator message plane (the fig3 upper end): jittered delay matrix,
 // Byzantine quorum, gossip hop scale 4.0, and 64 pre-generated send-time
-// rounds cycled through. All hosts sit in testnet's single region, so every
-// receiver sees the same delay distribution; the shipped 200-node
-// deployments span all ten regions.
+// rounds cycled through. Hosts sit in consortium's ten regions like every
+// shipped 200-node deployment, so neighbouring receivers see different
+// delay distributions.
 struct PlaneFixture {
   static constexpr int kNodes = 200;
   Simulation sim{11};
@@ -860,9 +889,9 @@ struct PlaneFixture {
   double hop_scale = 1.0;
 
   PlaneFixture() {
-    const DeploymentConfig testnet = GetDeployment("testnet");
+    const DeploymentConfig consortium = GetDeployment("consortium");
     for (int i = 0; i < kNodes; ++i) {
-      hosts.push_back(net.AddHost(testnet.NodeRegion(i)));
+      hosts.push_back(net.AddHost(consortium.NodeRegion(i)));
     }
     delays = std::make_unique<PairwiseDelays>(&net, hosts, 256);
     quorum = static_cast<size_t>(ByzantineQuorum(kNodes));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/support/profile.h"
+
 namespace diablo {
 
 void HotStuffEngine::Start() {
@@ -70,6 +72,9 @@ void HotStuffEngine::Round() {
   // Withheld votes never reach the next leader's certificate; double votes
   // are discarded as evidence by the one-vote-per-view rule.
   ctx_->ApplyVoteAdversaries(&received);
+  // The single-receiver kernel does not count rounds (the all-receiver ones
+  // do), so the engine counts its one vote round here.
+  profile::CountVoteRound();
   const SimDuration qc_at_next_leader =
       QuorumArrivalInto(ctx_->vote_delays(), received,
                         static_cast<size_t>(next_leader), quorum, 1.0, plane);

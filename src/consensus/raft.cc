@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/support/profile.h"
+
 namespace diablo {
 
 void RaftEngine::Start() {
@@ -52,6 +54,8 @@ void RaftEngine::Round() {
   }
   // Followers that withhold their acks drop out of the majority count.
   ctx_->ApplyVoteAdversaries(&acked);
+  // The single-receiver kernel does not count rounds; the ack round is one.
+  profile::CountVoteRound();
   const SimDuration commit = QuorumArrivalInto(
       ctx_->vote_delays(), acked, static_cast<size_t>(leader_), majority, 1.0, plane);
   if (commit == kUnreachable) {

@@ -188,15 +188,25 @@ bool SimConnector::CreateResource(const ResourceSpec& spec, Resource* out) {
 
 TxId SimConnector::Encode(const InteractionSpec& spec, const Resource& accounts,
                           SimTime scheduled_time) {
+  return Sign(CallFields(spec), accounts, scheduled_time);
+}
+
+TxId SimConnector::EncodeRepeat(TxId like, const Resource& accounts,
+                                SimTime scheduled_time) {
+  const Transaction& call = chain_->context().txs().at(like);
+  Transaction tx;
+  tx.contract = call.contract;
+  tx.function = call.function;
+  tx.gas = call.gas;
+  tx.size_bytes = call.size_bytes;
+  tx.read_only = call.read_only;
+  tx.exec_status = call.exec_status;
+  return Sign(tx, accounts, scheduled_time);
+}
+
+Transaction SimConnector::CallFields(const InteractionSpec& spec) {
   ChainContext& ctx = chain_->context();
   Transaction tx;
-  tx.account = accounts.first_account +
-               static_cast<uint32_t>(encode_counter_ %
-                                     static_cast<uint64_t>(accounts.account_count));
-  tx.sequence = static_cast<uint32_t>(encode_counter_);
-  ++encode_counter_;
-  tx.submit_time = scheduled_time;
-
   if (spec.type == InteractionSpec::Type::kTransfer) {
     tx.contract = -1;
     tx.gas = NativeTransferGas(ctx.params().dialect);
@@ -219,7 +229,18 @@ TxId SimConnector::Encode(const InteractionSpec& spec, const Resource& accounts,
     tx.size_bytes =
         kNativeTransferBytes + profile.calldata_bytes + static_cast<int32_t>(payload);
   }
-  return ctx.txs().Add(tx);
+  return tx;
+}
+
+TxId SimConnector::Sign(Transaction tx, const Resource& accounts,
+                        SimTime scheduled_time) {
+  tx.account = accounts.first_account +
+               static_cast<uint32_t>(encode_counter_ %
+                                     static_cast<uint64_t>(accounts.account_count));
+  tx.sequence = static_cast<uint32_t>(encode_counter_);
+  ++encode_counter_;
+  tx.submit_time = scheduled_time;
+  return chain_->context().txs().Add(tx);
 }
 
 }  // namespace diablo

@@ -113,6 +113,20 @@ class SimConnector : public BlockchainConnector {
   TxId Encode(const InteractionSpec& spec, const Resource& accounts,
               SimTime scheduled_time) override;
 
+  // Encode for a transaction that performs the same call as `like`, an
+  // earlier Encode result of this connector: copies its call fields
+  // (contract, function, gas, size_bytes, read_only, exec_status) instead of
+  // resolving the spec through the cost oracle, and signs with the next
+  // account and sequence number exactly as Encode would.
+  TxId EncodeRepeat(TxId like, const Resource& accounts, SimTime scheduled_time);
+
+  // The call fields Encode(spec, ...) gives, without signing or storing a
+  // transaction. The first call for a function profiles it against the
+  // contract's state, like Encode.
+  Transaction CallFields(const InteractionSpec& spec);
+
+  ChainInstance* chain() const { return chain_; }
+
   // Applies to every client created afterwards; call before CreateClient.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
@@ -121,6 +135,9 @@ class SimConnector : public BlockchainConnector {
   const ClientStats& client_stats() const { return client_stats_; }
 
  private:
+  // Stamps account, sequence and submit time onto `tx` and stores it.
+  TxId Sign(Transaction tx, const Resource& accounts, SimTime scheduled_time);
+
   ChainInstance* chain_;
   uint32_t next_account_ = 0;
   uint64_t encode_counter_ = 0;

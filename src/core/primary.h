@@ -12,6 +12,7 @@
 #include "src/core/interface.h"
 #include "src/core/report.h"
 #include "src/fault/schedule.h"
+#include "src/support/check.h"
 #include "src/workload/dapps.h"
 
 #include "src/chain/node.h"
@@ -67,6 +68,34 @@ struct WorkStream {
   // Endpoint view patterns (the spec's `view:`): ".*" = every node, or
   // node indices as decimal strings. Empty = the collocated default.
   std::vector<std::string> endpoints;
+};
+
+// Pre-signs one stream's transactions in arrival order. The first
+// transaction of each DappWorkload::InvocationSlot takes the full
+// SimConnector::Encode, so the cost oracle profiles every function at the
+// same point of the run as encoding each transaction would; every later one
+// copies that transaction's call fields through EncodeRepeat.
+class StreamEncoder {
+ public:
+  // `contract_index` is the stream's deployed contract; ignored for
+  // transfer streams (empty `stream.contract`).
+  StreamEncoder(SimConnector* connector, const WorkStream& stream, int contract_index,
+                const Resource& accounts);
+
+  // Encodes the k-th transaction; call with k = 0, 1, 2, ... in order.
+  TxId Encode(uint64_t k, SimTime scheduled_time);
+
+ private:
+  InteractionSpec SpecFor(uint64_t k) const;
+
+  SimConnector* connector_;
+  DappWorkload mix_;  // provides InvocationFor/InvocationSlot
+  bool invokes_;
+  int contract_index_;
+  Resource accounts_;
+  // Per invocation slot, the transaction later ones repeat.
+  std::vector<TxId> first_of_slot_;
+  DIABLO_CHECKED_ONLY(uint64_t repeats_ = 0;)
 };
 
 class Primary {

@@ -8,9 +8,10 @@
 // every closure the simulator schedules today — and only falls back to the
 // heap for oversized, over-aligned or potentially-throwing moves.
 //
-// Relocation (the event heap shifts entries on every push/pop) is a plain
-// memcpy whenever the capture is trivially copyable or lives on the heap
-// (pointer copy); only non-trivial inline captures pay an indirect call.
+// Relocation (into and out of the event queue's slab, and on slab growth)
+// is a plain memcpy whenever the capture is trivially copyable or lives on
+// the heap (pointer copy); only non-trivial inline captures pay an indirect
+// call.
 #ifndef SRC_SIM_EVENT_FN_H_
 #define SRC_SIM_EVENT_FN_H_
 
@@ -26,8 +27,8 @@ class EventFn {
  public:
   // Capture budget before the heap fallback kicks in. 32 bytes covers every
   // closure the simulator schedules today (the largest is four word-sized
-  // captures) while keeping a queue entry (time + seq + functor) at 56
-  // bytes, under one cache line.
+  // captures) and keeps an EventFn — one event-queue slab slot — at 40
+  // bytes. The queue's heap sifts 24-byte keys and never moves an EventFn.
   static constexpr size_t kInlineSize = 32;
 
   // Inline storage alignment; captures with stricter alignment go to the

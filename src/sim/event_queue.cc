@@ -1,6 +1,7 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 namespace diablo {
@@ -11,15 +12,31 @@ namespace {
 constexpr size_t kInitialCapacity = 1024;
 }  // namespace
 
-EventQueue::EventQueue() { heap_.reserve(kInitialCapacity); }
+EventQueue::EventQueue() { Reserve(kInitialCapacity); }
+
+void EventQueue::Reserve(size_t events) {
+  heap_.reserve(events);
+  slab_.reserve(events);
+  free_.reserve(events);
+}
 
 void EventQueue::Push(SimTime time, EventFn fn) {
-  heap_.push_back(Entry{time, next_seq_++, std::move(fn)});
+  uint32_t slot;
+  if (free_.empty()) {
+    DIABLO_CHECK(slab_.size() < UINT32_MAX, "event slab slot index overflow");
+    slot = static_cast<uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
+  }
+  heap_.push_back(Key{time, next_seq_++, slot});
   SiftUp(heap_.size() - 1);
 }
 
 EventFn EventQueue::Pop(SimTime* time) {
-  Entry top = std::move(heap_.front());
+  const Key top = heap_.front();
   *time = top.time;
 #if defined(DIABLO_CHECKED)
   DIABLO_CHECK(!popped_any_ || top.time > last_pop_time_ ||
@@ -30,17 +47,23 @@ EventFn EventQueue::Pop(SimTime* time) {
   popped_any_ = true;
 #endif
   if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
+    heap_.front() = heap_.back();
     heap_.pop_back();
     SiftDown(0);
   } else {
     heap_.pop_back();
   }
-  return std::move(top.fn);
+  EventFn fn = std::move(slab_[top.slot]);
+  free_.push_back(top.slot);
+  return fn;
 }
 
 void EventQueue::Clear() {
   heap_.clear();
+  // Destroys every slot: pending captures are released here, popped slots
+  // are already empty.
+  slab_.clear();
+  free_.clear();
   next_seq_ = 0;
   DIABLO_CHECKED_ONLY(popped_any_ = false; last_pop_time_ = 0; last_pop_seq_ = 0;)
 }
@@ -48,29 +71,28 @@ void EventQueue::Clear() {
 // The heap is 4-ary (children of i are 4i+1..4i+4): half the depth of a
 // binary heap, and the sibling scan walks contiguous memory — the classic
 // layout for large discrete-event queues. Both sift loops use hole
-// insertion: the displaced entry is held aside while lighter entries shift
-// into the hole with a single move each, instead of the three moves a
-// std::swap would cost per level. Pop order only depends on the (time, seq)
-// total order, which none of this touches.
+// insertion: the displaced key is held aside while lighter keys shift into
+// the hole with a single copy each. Pop order only depends on the
+// (time, seq) total order, which none of this touches.
 void EventQueue::SiftUp(size_t i) {
   if (i == 0) {
     return;
   }
-  Entry moving = std::move(heap_[i]);
+  const Key moving = heap_[i];
   while (i > 0) {
     const size_t parent = (i - 1) / kArity;
     if (!(heap_[parent] > moving)) {
       break;
     }
-    heap_[i] = std::move(heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = std::move(moving);
+  heap_[i] = moving;
 }
 
 void EventQueue::SiftDown(size_t i) {
   const size_t n = heap_.size();
-  Entry moving = std::move(heap_[i]);
+  const Key moving = heap_[i];
   while (true) {
     const size_t first = kArity * i + 1;
     if (first >= n) {
@@ -88,10 +110,10 @@ void EventQueue::SiftDown(size_t i) {
     if (!(moving > heap_[child])) {
       break;
     }
-    heap_[i] = std::move(heap_[child]);
+    heap_[i] = heap_[child];
     i = child;
   }
-  heap_[i] = std::move(moving);
+  heap_[i] = moving;
 }
 
 }  // namespace diablo

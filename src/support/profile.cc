@@ -53,6 +53,7 @@ bool Enabled() { return g_enabled; }
 
 void AddEvents(uint64_t n) { g_events.fetch_add(n, std::memory_order_relaxed); }
 void CountVoteRound() { g_vote_rounds.fetch_add(1, std::memory_order_relaxed); }
+uint64_t VoteRounds() { return g_vote_rounds.load(std::memory_order_relaxed); }
 void AddVmOps(uint64_t n) { g_vm_ops.fetch_add(n, std::memory_order_relaxed); }
 
 void AddArenaBytes(int64_t delta) {

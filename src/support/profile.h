@@ -18,8 +18,14 @@ namespace diablo::profile {
 bool Enabled();
 
 void AddEvents(uint64_t n);
+// Once per consensus vote round: by the all-receiver and committee quorum
+// kernels, and by the engines that run a single-receiver round (HotStuff,
+// Raft).
 void CountVoteRound();
 void AddVmOps(uint64_t n);
+
+// Vote rounds counted so far in this process.
+uint64_t VoteRounds();
 
 // Arena memory accounting: arenas report chunk creation (positive delta) and
 // destruction (negative); the high-water mark of live arena bytes lands in

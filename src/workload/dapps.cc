@@ -17,19 +17,24 @@ constexpr struct {
     {"buy_microsoft", 40}, {"buy_apple", 100},
 };
 
-Invocation ExchangeInvocation(uint64_t i) {
+constexpr uint64_t BuyMixTotal() {
   uint64_t total = 0;
   for (const auto& entry : kBuyMix) {
     total += entry.weight;
   }
-  uint64_t slot = (i * 2654435761ULL) % total;
-  for (const auto& entry : kBuyMix) {
-    if (slot < entry.weight) {
-      return Invocation{entry.function, {}};
-    }
-    slot -= entry.weight;
+  return total;
+}
+
+// Index into kBuyMix; the weights sum to BuyMixTotal(), so the walk always
+// stops inside the table.
+size_t ExchangeSlot(uint64_t i) {
+  uint64_t slot = (i * 2654435761ULL) % BuyMixTotal();
+  size_t index = 0;
+  while (slot >= kBuyMix[index].weight) {
+    slot -= kBuyMix[index].weight;
+    ++index;
   }
-  return Invocation{"buy_apple", {}};
+  return index;
 }
 
 }  // namespace
@@ -39,7 +44,7 @@ Invocation DappWorkload::InvocationFor(uint64_t i) const {
     return *fixed;
   }
   if (name == "exchange") {
-    return ExchangeInvocation(i);
+    return Invocation{kBuyMix[ExchangeSlot(i)].function, {}};
   }
   // Per-stock NASDAQ bursts (§6.5): every order buys that one stock.
   for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
@@ -66,6 +71,10 @@ Invocation DappWorkload::InvocationFor(uint64_t i) const {
     return Invocation{"upload", {1024}};
   }
   throw std::logic_error("unhandled dapp: " + name);
+}
+
+size_t DappWorkload::InvocationSlot(uint64_t i) const {
+  return !fixed.has_value() && name == "exchange" ? ExchangeSlot(i) : 0;
 }
 
 DappWorkload GetDappWorkload(std::string_view name) {

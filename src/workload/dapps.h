@@ -28,6 +28,13 @@ struct DappWorkload {
 
   // The invocation the i-th transaction performs. Deterministic in i.
   Invocation InvocationFor(uint64_t i) const;
+
+  // Which function of the mix the i-th transaction calls: the index of its
+  // stock in the buy mix for "exchange", 0 for every other mix, per-stock
+  // run and fixed invocation. Transactions with equal slots call the same function, and
+  // the cost oracle profiles a function once, so they encode to the same
+  // call fields (contract, function, gas, size, status). Allocates nothing.
+  size_t InvocationSlot(uint64_t i) const;
 };
 
 // The five default DIABLO DApps, Table 2 order: exchange/NASDAQ,

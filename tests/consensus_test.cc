@@ -6,6 +6,7 @@
 #include "src/chains/chain_factory.h"
 #include "src/chains/params.h"
 #include "src/chains/registry.h"
+#include "src/support/profile.h"
 
 namespace diablo {
 namespace {
@@ -139,6 +140,29 @@ TEST_P(AllChainsTest, DeterministicAcrossSeeds) {
 INSTANTIATE_TEST_SUITE_P(SixChains, AllChainsTest,
                          ::testing::Values("algorand", "avalanche", "diem", "quorum",
                                            "ethereum", "solana"));
+
+// HotStuff (diem) and Raft reduce each round with the single-receiver
+// quorum kernel, which counts nothing; the engines count their one vote
+// round themselves. With no load and no faults every round reaches the vote
+// stage, and a round is the only event either engine schedules, so N rounds
+// are N executed events.
+TEST(VoteRoundCounterTest, SingleReceiverEnginesCountEachRound) {
+  ChainParams raft = GetChainParams("quorum");
+  raft.name = "quorum-raft";
+  raft.consensus_name = "Raft";
+  raft.block_interval = Milliseconds(250);
+  for (const ChainParams& params : {GetChainParams("diem"), raft}) {
+    Simulation sim(1);
+    Network net(&sim);
+    const auto chain = BuildChainFromParams(params, GetDeployment("testnet"), &sim, &net);
+    const uint64_t before = profile::VoteRounds();
+    chain->Start();
+    sim.RunUntil(Seconds(20));
+    EXPECT_GT(sim.events_executed(), 10u) << params.consensus_name;
+    EXPECT_EQ(profile::VoteRounds() - before, sim.events_executed())
+        << params.consensus_name;
+  }
+}
 
 TEST(SolanaTest, ThirtyConfirmationLatencyFloor) {
   Driver driver(GetChainParams("solana"), "testnet", 5);

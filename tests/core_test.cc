@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "src/chains/params.h"
 #include "src/config/spec.h"
 #include "src/core/interface.h"
+#include "src/core/primary.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
 
@@ -112,6 +118,108 @@ TEST(ConnectorTest, EncodeRotatesAccounts) {
   EXPECT_NE(txs.at(a).account, txs.at(b).account);
   EXPECT_NE(txs.at(b).account, txs.at(c).account);
   EXPECT_EQ(txs.at(a).account, txs.at(d).account);
+}
+
+// One chain instance with the resources a stream needs: 2,000 accounts and,
+// for invoking streams, the stream's contract.
+struct EncodeWorld {
+  Simulation sim{1};
+  Network net{&sim};
+  std::unique_ptr<ChainInstance> chain;
+  std::unique_ptr<SimConnector> connector;
+  Resource accounts;
+  Resource contract;
+  bool deployed = true;
+
+  EncodeWorld(const std::string& chain_name, const std::string& contract_name) {
+    chain = BuildChain(chain_name, GetDeployment("testnet"), &sim, &net);
+    connector = std::make_unique<SimConnector>(chain.get());
+    ResourceSpec spec;
+    spec.account_count = 2000;
+    connector->CreateResource(spec, &accounts);
+    if (!contract_name.empty()) {
+      spec.kind = ResourceSpec::Kind::kContract;
+      spec.contract_name = contract_name;
+      deployed = connector->CreateResource(spec, &contract);
+    }
+  }
+
+  const Transaction& tx(TxId id) const { return chain->context().txs().at(id); }
+};
+
+// The repeat path (StreamEncoder: full Encode once per invocation slot,
+// EncodeRepeat after) against a fresh per-transaction Encode on a twin
+// chain, field by field, for the first 5,000 transactions of every DApp
+// mix, the per-stock bursts, a spec-fixed invocation and native transfers,
+// on every chain's VM dialect.
+TEST(StreamEncoderTest, RepeatPathMatchesPerTxEncode) {
+  std::vector<WorkStream> streams;
+  for (const std::string& dapp : AllDappNames()) {
+    const DappWorkload workload = GetDappWorkload(dapp);
+    WorkStream stream;
+    stream.contract = workload.contract;
+    stream.dapp_name = workload.name;
+    streams.push_back(stream);
+  }
+  for (const char* stock : {"google", "amazon", "facebook", "microsoft", "apple"}) {
+    WorkStream stream;
+    stream.contract = "exchange";
+    stream.dapp_name = stock;
+    streams.push_back(stream);
+  }
+  WorkStream fixed;
+  fixed.contract = "dota";
+  fixed.fixed = Invocation{"update", {3, 4}};
+  streams.push_back(fixed);
+  streams.emplace_back();  // native transfers
+
+  constexpr uint64_t kTxs = 5000;
+  bool uber_budget_exceeded = false;
+  for (const std::string& chain : AllChainNames()) {
+    for (const WorkStream& stream : streams) {
+      const std::string label = chain + "/" + stream.dapp_name + "/" + stream.contract;
+      EncodeWorld repeat(chain, stream.contract);
+      EncodeWorld fresh(chain, stream.contract);
+      ASSERT_EQ(repeat.deployed, fresh.deployed) << label;
+      if (!repeat.deployed) {
+        continue;  // e.g. youtube on the AVM
+      }
+      StreamEncoder encoder(repeat.connector.get(), stream,
+                            repeat.contract.contract_index, repeat.accounts);
+      DappWorkload mix;
+      mix.name = stream.dapp_name.empty() ? stream.contract : stream.dapp_name;
+      mix.fixed = stream.fixed;
+      for (uint64_t k = 0; k < kTxs; ++k) {
+        const SimTime at = Milliseconds(static_cast<int64_t>(k));
+        InteractionSpec spec;
+        if (!stream.contract.empty()) {
+          const Invocation invocation = mix.InvocationFor(k);
+          spec.type = InteractionSpec::Type::kInvoke;
+          spec.contract_index = fresh.contract.contract_index;
+          spec.function = invocation.function;
+          spec.args = invocation.args;
+        }
+        const Transaction& a = repeat.tx(encoder.Encode(k, at));
+        const Transaction& b = fresh.tx(fresh.connector->Encode(spec, fresh.accounts, at));
+        ASSERT_EQ(a.account, b.account) << label << " k=" << k;
+        ASSERT_EQ(a.sequence, b.sequence) << label << " k=" << k;
+        ASSERT_EQ(a.contract, b.contract) << label << " k=" << k;
+        ASSERT_EQ(a.function, b.function) << label << " k=" << k;
+        ASSERT_EQ(a.gas, b.gas) << label << " k=" << k;
+        ASSERT_EQ(a.size_bytes, b.size_bytes) << label << " k=" << k;
+        ASSERT_EQ(a.submit_time, b.submit_time) << label << " k=" << k;
+        ASSERT_EQ(a.commit_time, b.commit_time) << label << " k=" << k;
+        ASSERT_EQ(a.read_only, b.read_only) << label << " k=" << k;
+        ASSERT_EQ(a.phase, b.phase) << label << " k=" << k;
+        ASSERT_EQ(a.exec_status, b.exec_status) << label << " k=" << k;
+        uber_budget_exceeded = uber_budget_exceeded || (stream.dapp_name == "uber" &&
+                                                        a.exec_status ==
+                                                            VmStatus::kBudgetExceeded);
+      }
+      ASSERT_EQ(repeat.chain->context().txs().size(), kTxs) << label;
+    }
+  }
+  EXPECT_TRUE(uber_budget_exceeded);
 }
 
 TEST(RunnerTest, QuickstartNativeRun) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -172,6 +175,127 @@ TEST(EventQueueTest, LargeHeapStaysSorted) {
     EXPECT_GE(t, prev);
     prev = t;
   }
+}
+
+// Per-event bookkeeping for the differential test: how often each event's
+// callback ran and how often its capture was released.
+struct CaptureLedger {
+  std::vector<int> fired;
+  std::vector<int> released;
+  size_t last_fired = SIZE_MAX;
+};
+
+// A capture with a non-trivial move: moving hands the release duty to the
+// new object, so `released` counts destructions of the live copy only.
+class Tracked {
+ public:
+  Tracked(CaptureLedger* ledger, size_t id) : ledger_(ledger), id_(id) {}
+  Tracked(Tracked&& other) noexcept
+      : ledger_(std::exchange(other.ledger_, nullptr)), id_(other.id_) {}
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (ledger_ != nullptr) {
+      ++ledger_->released[id_];
+    }
+  }
+
+  void Fire() const {
+    ++ledger_->fired[id_];
+    ledger_->last_fired = id_;
+  }
+
+ private:
+  CaptureLedger* ledger_;
+  size_t id_;
+};
+
+// 200k random interleaved pushes and pops against a (time, seq)-sorted
+// reference. Times fall in an 8 ns window above the last pop, so most
+// events tie with others on time and seq decides. Captures mix trivially
+// copyable inline closures, non-trivially movable inline closures and
+// heap-allocated ones; the tracked kinds must be released exactly once
+// whether they fire, are dropped by Clear, or are still pending when the
+// queue is destroyed.
+TEST(EventQueueTest, DifferentialAgainstSortedReference) {
+  enum Kind { kTrivial, kInlineTracked, kHeapTracked };
+  CaptureLedger ledger;
+  std::vector<Kind> kinds;
+  std::set<std::tuple<SimTime, uint64_t, size_t>> reference;  // (time, seq, id)
+  auto queue = std::make_unique<EventQueue>();
+  Rng rng(2024);
+  uint64_t next_seq = 0;
+  SimTime now = 0;
+  size_t max_pending = 0;
+
+  auto push = [&] {
+    const size_t id = kinds.size();
+    ledger.fired.push_back(0);
+    ledger.released.push_back(0);
+    const SimTime time = now + static_cast<SimTime>(rng.NextBelow(8));
+    const Kind kind = static_cast<Kind>(rng.NextBelow(3));
+    kinds.push_back(kind);
+    if (kind == kTrivial) {
+      CaptureLedger* l = &ledger;
+      queue->Push(time, [l, id] {
+        ++l->fired[id];
+        l->last_fired = id;
+      });
+    } else if (kind == kInlineTracked) {
+      auto inline_fn = [t = Tracked(&ledger, id)] { t.Fire(); };
+      static_assert(sizeof(inline_fn) <= EventFn::kInlineSize);
+      queue->Push(time, std::move(inline_fn));
+    } else {
+      const std::array<uint64_t, 8> pad{};
+      auto heap_fn = [t = Tracked(&ledger, id), pad] {
+        (void)pad;
+        t.Fire();
+      };
+      static_assert(sizeof(heap_fn) > EventFn::kInlineSize);
+      queue->Push(time, std::move(heap_fn));
+    }
+    reference.emplace(time, next_seq++, id);
+  };
+
+  size_t popped = 0;
+  for (int op = 0; op < 200000; ++op) {
+    if (op == 100000) {
+      // Clear mid-run with thousands of events pending; the queue restarts
+      // its tie-break sequence, and so does the reference.
+      ASSERT_GT(queue->size(), 1000u);
+      queue->Clear();
+      reference.clear();
+      next_seq = 0;
+    }
+    if (queue->empty() || rng.NextBelow(100) < 52) {
+      push();
+      max_pending = std::max(max_pending, queue->size());
+      continue;
+    }
+    const auto [want_time, want_seq, want_id] = *reference.begin();
+    reference.erase(reference.begin());
+    SimTime time = -1;
+    EventFn fn = queue->Pop(&time);
+    ASSERT_EQ(time, want_time) << "op " << op;
+    fn();
+    ASSERT_EQ(ledger.last_fired, want_id) << "op " << op << " seq " << want_seq;
+    now = time;
+    ++popped;
+  }
+  ASSERT_EQ(queue->size(), reference.size());
+  EXPECT_GT(max_pending, 1000u);
+  queue.reset();  // destroys the queue with its events still pending
+
+  size_t fired = 0;
+  for (size_t id = 0; id < kinds.size(); ++id) {
+    ASSERT_LE(ledger.fired[id], 1) << id;
+    fired += static_cast<size_t>(ledger.fired[id]);
+    if (kinds[id] != kTrivial) {
+      ASSERT_EQ(ledger.released[id], 1) << "capture " << id;
+    }
+  }
+  EXPECT_EQ(fired, popped);
 }
 
 TEST(SimulationTest, ClockAdvances) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/workload/arrival.h"
 #include "src/workload/dapps.h"
@@ -151,6 +153,29 @@ TEST(DappTest, UberPositionsVary) {
       EXPECT_GE(arg, 0);
       EXPECT_LT(arg, 10000);
     }
+  }
+}
+
+TEST(DappTest, InvocationSlotNamesTheFunction) {
+  const DappWorkload exchange = GetDappWorkload("exchange");
+  std::vector<std::string> by_slot(5);
+  for (uint64_t k = 0; k < 2000; ++k) {
+    const size_t slot = exchange.InvocationSlot(k);
+    ASSERT_LT(slot, by_slot.size());
+    const std::string function = exchange.InvocationFor(k).function;
+    if (by_slot[slot].empty()) {
+      by_slot[slot] = function;
+    }
+    ASSERT_EQ(by_slot[slot], function) << k;
+  }
+  EXPECT_EQ(by_slot, (std::vector<std::string>{"buy_google", "buy_amazon", "buy_facebook",
+                                               "buy_microsoft", "buy_apple"}));
+  DappWorkload fixed = exchange;
+  fixed.fixed = Invocation{"buy_apple", {}};
+  const DappWorkload uber = GetDappWorkload("uber");
+  for (uint64_t k = 0; k < 100; ++k) {
+    EXPECT_EQ(fixed.InvocationSlot(k), 0u);
+    EXPECT_EQ(uber.InvocationSlot(k), 0u);
   }
 }
 
