@@ -25,6 +25,7 @@
 #include "src/core/parallel_runner.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sortition.h"
 #include "src/net/deployment.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
@@ -316,6 +317,34 @@ void BM_MerkleRoot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MerkleRoot)->Arg(64)->Arg(1024);
+
+// One VRF draw — a single SHA-256 compression — through each kernel.
+void BM_SortitionDraw(benchmark::State& state, SortitionBlock::Kernel kernel,
+                      bool needs_hardware) {
+  if (needs_hardware && !Sha256HardwareAvailable()) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  SortitionBlock block(7, 1, 2);
+  uint64_t participant = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(block.Draw(participant++, kernel));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SortitionDraw, hardware, Sha256CompressHardware, true);
+BENCHMARK_CAPTURE(BM_SortitionDraw, portable, Sha256CompressPortable, false);
+
+// Algorand's per-round proposer pick over an xl-scale validator set.
+void BM_SelectProposer(benchmark::State& state) {
+  const auto population = static_cast<uint32_t>(state.range(0));
+  uint64_t round = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SelectProposer(7, round++, population));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SelectProposer)->Arg(10000);
 
 void BM_VmCounterAdd(benchmark::State& state) {
   const Program program = CompileContract(*FindContract("counter"));
@@ -1196,7 +1225,7 @@ workloads:
 BENCHMARK(BM_YamlParse);
 
 // --- kernel speedup summary --------------------------------------------------
-// Re-times the five kernel pairs with plain chrono medians (shared work
+// Re-times the six kernel pairs with plain chrono medians (shared work
 // functions with the registered benchmarks above) and records the results as
 // the "kernels" entry of BENCH_runner.json, next to the runner binaries'
 // stats. Medians of several repetitions keep one descheduling blip from
@@ -1302,6 +1331,17 @@ void WriteKernelSummary(const char* path) {
         MedianNsPerOp([&](size_t) { sink = f.Run(f.byte_program).gas_used; }, 20, 3);
     (void)sink;
     json += ", \"vm_dispatch\": " + KernelEntryJson(current, baseline);
+  }
+  {
+    // The dispatched kernel against the portable one; equal on CPUs without
+    // the SHA extensions.
+    SortitionBlock block(7, 1, 2);
+    volatile double sink = 0;
+    const double current = MedianNsPerOp([&](size_t i) { sink = block.Draw(i); }, 20000, 5);
+    const double baseline = MedianNsPerOp(
+        [&](size_t i) { sink = block.Draw(i, Sha256CompressPortable); }, 20000, 5);
+    (void)sink;
+    json += ", \"sortition_draw\": " + KernelEntryJson(current, baseline);
   }
   json += "}";
   WriteRunnerJsonEntry(path, "kernels", json);
