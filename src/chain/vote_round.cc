@@ -18,8 +18,8 @@ namespace {
 // returns how many there are. The hop_scale multiply runs in integer
 // arithmetic when that is provably bit-exact (integral scale, products below
 // 2^52 so the double rounding the reference formula goes through is the
-// identity); the community/consortium scales (1.0, 4.0) qualify, so the
-// common scans vectorize.
+// identity); the community/consortium scales (1.0, 4.0) qualify and skip the
+// int -> double -> int round trip.
 size_t ScanArrivals(const PairwiseDelays& delays,
                     const std::vector<SimDuration>& send_times, size_t receiver,
                     double hop_scale, SimDuration* buf) {
@@ -33,7 +33,10 @@ size_t ScanArrivals(const PairwiseDelays& delays,
   // Both loops compact branchlessly: every element is computed and written,
   // the write cursor only advances for reachable pairs. Unreachable lanes
   // (kUnreachable == -1) produce small garbage values that the next write
-  // overwrites, so there is no overflow hazard and the loops vectorize.
+  // overwrites, so there is no overflow hazard. The loops do not vectorize:
+  // the store through the data-dependent cursor is a compaction, which GCC
+  // reports as "couldn't vectorize loop" (docs/performance.md has the lever
+  // that would remove it).
   if (integral && delays.max_delay() <= (int64_t{1} << 52) / int_scale) {
     for (size_t j = 0; j < n; ++j) {
       const SimDuration s = sends[j];

@@ -1,6 +1,7 @@
 #include "src/core/report.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/support/strings.h"
 
@@ -65,6 +66,7 @@ Report BuildReport(const TxStore& txs, SimTime horizon, std::string chain,
         static_cast<double>(report.committed) / static_cast<double>(report.submitted);
   }
   if (report.latencies.count() > 0) {
+    // Mean first: it sums in storage order, which the selections permute.
     report.avg_latency = report.latencies.Mean();
     report.median_latency = report.latencies.Median();
     report.p95_latency = report.latencies.Percentile(0.95);
@@ -83,7 +85,10 @@ void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
   // commit late.
   std::vector<uint64_t> offered;
   std::vector<uint64_t> landed;
-  std::vector<SimTime> commits;
+  // Time-to-recovery: per heal instant, a running minimum over the commits
+  // at or after it.
+  constexpr SimTime kNoCommit = std::numeric_limits<SimTime>::max();
+  std::vector<SimTime> first_commit(heal_times.size(), kNoCommit);
   for (TxId id = 0; id < txs.size(); ++id) {
     const Transaction& tx = txs.at(id);
     if (tx.phase == TxPhase::kCreated) {
@@ -97,7 +102,11 @@ void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
     ++offered[second];
     if (tx.phase == TxPhase::kCommitted && tx.commit_time <= horizon) {
       ++landed[second];
-      commits.push_back(tx.commit_time);
+      for (size_t h = 0; h < heal_times.size(); ++h) {
+        if (tx.commit_time >= heal_times[h]) {
+          first_commit[h] = std::min(first_commit[h], tx.commit_time);
+        }
+      }
     }
   }
   report->interval_commit_ratio.clear();
@@ -113,14 +122,12 @@ void AddResilienceMetrics(Report* report, const TxStore& txs, SimTime horizon,
         std::min(report->min_interval_commit_ratio, ratio);
   }
 
-  // Time-to-recovery: first commit at or after each heal instant.
-  std::sort(commits.begin(), commits.end());
   report->recoveries.clear();
   report->recoveries.reserve(heal_times.size());
-  for (const SimTime heal : heal_times) {
-    const auto first = std::lower_bound(commits.begin(), commits.end(), heal);
-    report->recoveries.push_back(first == commits.end() ? -1.0
-                                                        : ToSeconds(*first - heal));
+  for (size_t h = 0; h < heal_times.size(); ++h) {
+    report->recoveries.push_back(first_commit[h] == kNoCommit
+                                     ? -1.0
+                                     : ToSeconds(first_commit[h] - heal_times[h]));
   }
 }
 

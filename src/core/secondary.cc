@@ -13,8 +13,18 @@ void Secondary::Assign(SimTime submit_time, TxId tx) {
 }
 
 void Secondary::Start() {
-  std::sort(schedule_.begin(), schedule_.end(),
-            [](const Planned& a, const Planned& b) { return a.time < b.time; });
+  // A strictly increasing schedule (one uniform stream) is already in
+  // the order std::sort would produce. Anything else is sorted: std::sort is
+  // not stable, and the permutation it gives ties sets Trigger order and so
+  // the RNG draws.
+  const auto not_before = [](const Planned& a, const Planned& b) {
+    return a.time >= b.time;
+  };
+  if (std::adjacent_find(schedule_.begin(), schedule_.end(), not_before) !=
+      schedule_.end()) {
+    std::sort(schedule_.begin(), schedule_.end(),
+              [](const Planned& a, const Planned& b) { return a.time < b.time; });
+  }
   // One event per second of schedule; the batch submits every transaction
   // of that second with its precise timestamp.
   size_t first = 0;

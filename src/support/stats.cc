@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/support/check.h"
+
 namespace diablo {
 
 void RunningStats::Add(double x) {
@@ -49,18 +51,32 @@ double SampleSet::Mean() const {
   return sum / static_cast<double>(samples_.size());
 }
 
-double SampleSet::Min() const { return samples_.empty() ? 0.0 : sorted().front(); }
-double SampleSet::Max() const { return samples_.empty() ? 0.0 : sorted().back(); }
+double SampleSet::Min() const {
+  return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
+}
+double SampleSet::Max() const {
+  return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
+}
 
 double SampleSet::Percentile(double q) const {
-  const auto& s = sorted();
-  if (s.empty()) {
+  if (samples_.empty()) {
     return 0.0;
   }
   q = std::clamp(q, 0.0, 1.0);
   const size_t rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(s.size())));
-  return s[rank == 0 ? 0 : rank - 1];
+      std::ceil(q * static_cast<double>(samples_.size())));
+  const size_t k = rank == 0 ? 0 : rank - 1;
+  if (sorted_) {
+    return samples_[k];
+  }
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+#if defined(DIABLO_CHECKED)
+  std::vector<double> ref = samples_;
+  std::sort(ref.begin(), ref.end());
+  DIABLO_CHECK(ref[k] == *nth, "selected percentile disagrees with a sorted copy");
+#endif
+  return *nth;
 }
 
 double SampleSet::CdfAt(double x) const {

@@ -31,13 +31,17 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-// Stores samples for exact order statistics. Sorting is deferred and cached.
+// Stores samples for exact order statistics. Min/Max scan and Percentile
+// selects (nth_element) in linear time; only the CDF queries sort, once, and
+// the sorted order is cached.
 class SampleSet {
  public:
   void Add(double x);
   void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t count() const { return samples_.size(); }
+  // Sums in storage order, which Percentile/Median/CdfAt may permute: call
+  // it first where the result must not depend on earlier queries.
   double Mean() const;
   double Min() const;
   double Max() const;

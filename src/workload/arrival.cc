@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/support/check.h"
+
 namespace diablo {
 
 std::vector<SimTime> ExpandArrivals(const Trace& trace, ArrivalProcess process,
@@ -35,7 +37,11 @@ std::vector<SimTime> ExpandArrivals(const Trace& trace, ArrivalProcess process,
       }
     }
   }
-  std::sort(arrivals.begin(), arrivals.end());
+  // Nondecreasing by construction: second s only emits times in
+  // [base, base + 1 s), uniform as base + step * i and Poisson as a running
+  // sum clamped below the next second.
+  DIABLO_CHECK(std::is_sorted(arrivals.begin(), arrivals.end()),
+               "arrival times must be nondecreasing");
   return arrivals;
 }
 

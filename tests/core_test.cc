@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -12,6 +13,8 @@
 #include "src/core/primary.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
+#include "src/core/secondary.h"
+#include "src/sim/simulation.h"
 
 namespace diablo {
 namespace {
@@ -422,6 +425,96 @@ TEST(ReportTest, PendingAfterHorizon) {
   EXPECT_DOUBLE_EQ(report.commit_ratio, 0.25);
   EXPECT_DOUBLE_EQ(report.avg_latency, 4.0);
   EXPECT_NE(report.ToText().find("committed:    1"), std::string::npos);
+}
+
+// Heals before the first commit, between commits, exactly on a commit and
+// after the last in-horizon commit, a duplicated heal instant, and a commit
+// past the horizon that must not count as a recovery. Commits are stored out
+// of time order.
+TEST(ReportTest, RecoveryPerHealInstant) {
+  TxStore txs;
+  Transaction tx;
+  tx.submit_time = Seconds(1);
+  tx.phase = TxPhase::kCommitted;
+  for (const int64_t commit_s : {9, 3, 15, 6}) {
+    tx.commit_time = Seconds(commit_s);
+    txs.Add(tx);
+  }
+  tx.phase = TxPhase::kDropped;
+  txs.Add(tx);
+
+  Report report = BuildReport(txs, Seconds(10), "x", "y", "z", 10.0);
+  AddResilienceMetrics(&report, txs, Seconds(10),
+                       {Milliseconds(500), Seconds(4), Seconds(6), Milliseconds(9500),
+                        Seconds(4)});
+  ASSERT_EQ(report.recoveries.size(), 5u);
+  EXPECT_DOUBLE_EQ(report.recoveries[0], 2.5);
+  EXPECT_DOUBLE_EQ(report.recoveries[1], 2.0);
+  EXPECT_DOUBLE_EQ(report.recoveries[2], 0.0);
+  EXPECT_DOUBLE_EQ(report.recoveries[3], -1.0);
+  EXPECT_DOUBLE_EQ(report.recoveries[4], 2.0);
+  EXPECT_EQ(report.interval_commit_ratio, std::vector<double>({1.0, 0.6}));
+  EXPECT_DOUBLE_EQ(report.min_interval_commit_ratio, 0.6);
+  const std::string text = report.ToText();
+  EXPECT_NE(text.find("recovery 0:   2.50 s\n"), std::string::npos);
+  EXPECT_NE(text.find("recovery 3:   never\n"), std::string::npos);
+}
+
+class RecordingClient : public BlockchainClient {
+ public:
+  explicit RecordingClient(std::vector<std::pair<SimTime, TxId>>* log) : log_(log) {}
+  void Trigger(TxId encoded, SimTime submit_time) override {
+    log_->emplace_back(submit_time, encoded);
+  }
+
+ private:
+  std::vector<std::pair<SimTime, TxId>>* log_;
+};
+
+// Tied timestamps must trigger in exactly the order std::sort gives the
+// schedule, which past 16 entries is neither the assignment order nor a
+// stable sort's, even when the schedule is already nondecreasing. Covers two
+// interleaved streams sharing every timestamp, and two streams whose
+// arrivals land on the same instants in order.
+TEST(SecondaryTest, TiedScheduleTriggersInSortOrder) {
+  using Entry = std::pair<SimTime, TxId>;
+  const auto by_time = [](const Entry& a, const Entry& b) { return a.first < b.first; };
+  for (const bool interleaved : {true, false}) {
+    SCOPED_TRACE(interleaved);
+    Simulation sim(1);
+    std::vector<Entry> log;
+    Secondary secondary(0, Region::kOhio, &sim, std::make_unique<RecordingClient>(&log));
+    std::vector<Entry> assigned;
+    for (TxId k = 0; k < 120; ++k) {
+      const SimTime t = interleaved ? Milliseconds(50 * (k % 30)) : Milliseconds(50 * (k / 2));
+      secondary.Assign(t, k);
+      assigned.emplace_back(t, k);
+    }
+    std::vector<Entry> expected = assigned;
+    std::sort(expected.begin(), expected.end(), by_time);
+    std::vector<Entry> stable = assigned;
+    std::stable_sort(stable.begin(), stable.end(), by_time);
+    ASSERT_NE(expected, stable) << "the schedule no longer tells std::sort from a stable sort";
+
+    secondary.Start();
+    sim.RunUntil(Seconds(5));
+    EXPECT_EQ(log, expected);
+  }
+}
+
+TEST(SecondaryTest, IncreasingScheduleTriggersInAssignmentOrder) {
+  Simulation sim(1);
+  std::vector<std::pair<SimTime, TxId>> log;
+  Secondary secondary(0, Region::kOhio, &sim, std::make_unique<RecordingClient>(&log));
+  std::vector<std::pair<SimTime, TxId>> expected;
+  for (TxId k = 0; k < 100; ++k) {
+    const SimTime t = Milliseconds(37) * static_cast<SimTime>(k);
+    secondary.Assign(t, 99 - k);
+    expected.emplace_back(t, 99 - k);
+  }
+  secondary.Start();
+  sim.RunUntil(Seconds(5));
+  EXPECT_EQ(log, expected);
 }
 
 TEST(ResultsTest, JsonAndCsvOutput) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -194,6 +195,43 @@ TEST(SampleSetTest, PercentilesExact) {
   EXPECT_DOUBLE_EQ(set.Min(), 1.0);
   EXPECT_DOUBLE_EQ(set.Max(), 100.0);
   EXPECT_DOUBLE_EQ(set.Mean(), 50.5);
+}
+
+// Random, heavily tied input: the selection path must give exactly what
+// indexing a sorted copy gives, at every rank including q = 0 and q = 1, and
+// must leave the CDF queries seeing the same distribution as a fresh set.
+TEST(SampleSetTest, SelectionMatchesSortedReference) {
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{101}, size_t{10000}}) {
+    SCOPED_TRACE(n);
+    Rng rng(n);
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = static_cast<double>(rng.NextBelow(7)) * 0.25;  // ~n/7 copies each
+    }
+    std::vector<double> ref = values;
+    std::sort(ref.begin(), ref.end());
+
+    SampleSet set;
+    SampleSet fresh;
+    for (const double v : values) {
+      set.Add(v);
+      fresh.Add(v);
+    }
+    EXPECT_DOUBLE_EQ(set.Min(), ref.front());
+    EXPECT_DOUBLE_EQ(set.Max(), ref.back());
+    for (int step = 0; step <= 40; ++step) {
+      const double q = step / 40.0;
+      const size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
+      EXPECT_EQ(set.Percentile(q), ref[rank == 0 ? 0 : rank - 1]) << "q=" << q;
+    }
+    EXPECT_EQ(set.Median(), ref[(n + 1) / 2 - 1]);
+    EXPECT_EQ(set.Min(), ref.front());
+    EXPECT_EQ(set.Max(), ref.back());
+
+    EXPECT_EQ(set.CdfSeries(25), fresh.CdfSeries(25));
+    EXPECT_EQ(set.sorted(), ref);
+    EXPECT_EQ(set.Percentile(0.3), fresh.Percentile(0.3));
+  }
 }
 
 TEST(SampleSetTest, EmptySafe) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -196,6 +197,22 @@ TEST(ArrivalTest, FractionalRatesAccumulate) {
   const Trace trace = ConstantTrace(0.5, 10);
   const auto arrivals = ExpandArrivals(trace, ArrivalProcess::kUniform, nullptr);
   EXPECT_EQ(arrivals.size(), 5u);
+}
+
+// Planning emits times in order without sorting them; fractional, varying
+// rates (carries across seconds, near-zero and large counts) must still come
+// out nondecreasing and inside the trace window for both processes.
+TEST(ArrivalTest, NondecreasingWithFractionalRates) {
+  Trace trace;
+  trace.tps = {0.3, 2.5, 1000.7, 0.0, 0.9, 7.25, 333.3, 0.5, 19999.9, 1.1};
+  for (const ArrivalProcess process : {ArrivalProcess::kUniform, ArrivalProcess::kPoisson}) {
+    Rng rng(11);
+    const auto arrivals = ExpandArrivals(trace, process, &rng);
+    EXPECT_EQ(arrivals.size(), 21346u);
+    EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
+    EXPECT_GE(arrivals.front(), 0);
+    EXPECT_LT(arrivals.back(), Seconds(10));
+  }
 }
 
 TEST(ArrivalTest, PoissonTotalsApproximate) {
