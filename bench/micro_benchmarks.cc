@@ -1,20 +1,18 @@
 // Micro benchmarks (google-benchmark) for the substrates: event loop
-// throughput, network delay sampling, SHA-256, Merkle trees, VM execution
-// per dialect, mempool operations, trace generation and YAML parsing.
+// throughput, network delay sampling, SHA-256, sortition, Merkle trees, VM
+// execution per dialect, mempool operations, block assembly, the vote
+// plane's kernels, trace generation and YAML parsing. Every benchmark times
+// code the simulator runs; the only comparisons are against live
+// alternatives (std::nth_element, the reference byte interpreter, the
+// portable SHA-256 kernel). Use google-benchmark's own --benchmark_out for a
+// machine-readable record.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
-#include <functional>
-#include <new>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
-
-#include <chrono>
 #include <memory>
+#include <new>
 
 #include "src/chain/mempool.h"
 #include "src/chain/node.h"
@@ -22,13 +20,11 @@
 #include "src/chains/params.h"
 #include "src/config/yaml.h"
 #include "src/contracts/contracts.h"
-#include "src/core/parallel_runner.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sortition.h"
 #include "src/net/deployment.h"
 #include "src/net/network.h"
-#include "src/net/topology.h"
 #include "src/sim/simulation.h"
 #include "src/support/rng.h"
 #include "src/support/select.h"
@@ -40,7 +36,7 @@
 // assert allocation behaviour, not just time: BM_BlockAssembly reports
 // allocs_per_block, which must be zero in steady state after the arena /
 // pre-reserve work in src/chain. Counting is relaxed-atomic; the overhead is
-// a few ns per allocation and identical for baseline and current code paths.
+// a few ns per allocation, the same for every benchmark in the binary.
 static std::atomic<std::uint64_t> g_alloc_count{0};
 
 // GCC cannot see that new and delete are replaced as a matched pair here
@@ -84,79 +80,6 @@ void BM_EventLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoop)->Arg(1000)->Arg(100000);
 
-// The seed's event path, reconstructed: the same binary heap but with
-// std::function entries (one heap allocation per capture beyond the
-// libstdc++ 16-byte inline buffer). BM_EventLoop vs this pair is the
-// before/after of the EventFn small-buffer swap.
-class StdFunctionQueue {
- public:
-  void Push(SimTime time, std::function<void()> fn) {
-    heap_.push_back(Entry{time, next_seq_++, std::move(fn)});
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!(heap_[parent] > heap_[i])) {
-        break;
-      }
-      std::swap(heap_[parent], heap_[i]);
-      i = parent;
-    }
-  }
-
-  bool empty() const { return heap_.empty(); }
-
-  std::function<void()> Pop(SimTime* time) {
-    Entry top = std::move(heap_.front());
-    *time = top.time;
-    if (heap_.size() > 1) {
-      heap_.front() = std::move(heap_.back());
-      heap_.pop_back();
-      SiftDown();
-    } else {
-      heap_.pop_back();
-    }
-    return std::move(top.fn);
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    uint64_t seq;
-    std::function<void()> fn;
-
-    bool operator>(const Entry& other) const {
-      if (time != other.time) {
-        return time > other.time;
-      }
-      return seq > other.seq;
-    }
-  };
-
-  void SiftDown() {
-    const size_t n = heap_.size();
-    size_t i = 0;
-    while (true) {
-      const size_t left = 2 * i + 1;
-      const size_t right = left + 1;
-      size_t smallest = i;
-      if (left < n && heap_[smallest] > heap_[left]) {
-        smallest = left;
-      }
-      if (right < n && heap_[smallest] > heap_[right]) {
-        smallest = right;
-      }
-      if (smallest == i) {
-        return;
-      }
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
-    }
-  }
-
-  std::vector<Entry> heap_;
-  uint64_t next_seq_ = 0;
-};
-
 // Capture shape mirroring the simulator's real closures: a couple of
 // pointers plus ids/sizes, ~32 bytes — over std::function's inline buffer,
 // under EventFn's.
@@ -164,45 +87,6 @@ struct FatCapture {
   uint64_t* sink;
   uint64_t a, b, c;
 };
-
-// The seed's BM_EventLoop workload (one pointer capture) on the seed's
-// std::function queue — the direct baseline for BM_EventLoop.
-void BM_EventLoopStdFunctionSmall(benchmark::State& state) {
-  const int64_t events = state.range(0);
-  for (auto _ : state) {
-    StdFunctionQueue queue;
-    uint64_t sink = 0;
-    for (int64_t i = 0; i < events; ++i) {
-      queue.Push(i, [&sink] { ++sink; });
-    }
-    SimTime t = 0;
-    while (!queue.empty()) {
-      queue.Pop(&t)();
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_EventLoopStdFunctionSmall)->Arg(1000)->Arg(100000);
-
-void BM_EventLoopStdFunction(benchmark::State& state) {
-  const int64_t events = state.range(0);
-  for (auto _ : state) {
-    StdFunctionQueue queue;
-    uint64_t sink = 0;
-    for (int64_t i = 0; i < events; ++i) {
-      FatCapture capture{&sink, static_cast<uint64_t>(i), 2, 3};
-      queue.Push(i, [capture] { *capture.sink += capture.a; });
-    }
-    SimTime t = 0;
-    while (!queue.empty()) {
-      queue.Pop(&t)();
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_EventLoopStdFunction)->Arg(1000)->Arg(100000);
 
 void BM_EventLoopSboFunctor(benchmark::State& state) {
   const int64_t events = state.range(0);
@@ -267,35 +151,6 @@ void BM_NetworkDelaySample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetworkDelaySample);
-
-// The seed's delay math, reconstructed: triangle-matrix lookups plus unit
-// conversions and a bandwidth division per sample, instead of the cached
-// flat LinkParams table Network::DelaySample now reads.
-void BM_NetworkDelayUncached(benchmark::State& state) {
-  Simulation sim(1);
-  Rng rng = sim.ForkRng();
-  std::vector<Region> regions;
-  for (int i = 0; i < 20; ++i) {
-    regions.push_back(static_cast<Region>(i % kRegionCount));
-  }
-  const double jitter_frac = 0.05;
-  size_t i = 0;
-  for (auto _ : state) {
-    const Region a = regions[i % 20];
-    const Region b = regions[(i + 7) % 20];
-    const SimDuration prop = MillisecondsF(Topology::RttMs(a, b) / 2.0);
-    const double mbps = Topology::BandwidthMbps(a, b);
-    const SimDuration trans =
-        SecondsF(static_cast<double>(int64_t{256}) * 8.0 / (mbps * 1e6));
-    const double jitter_scale = jitter_frac * std::abs(rng.NextGaussian(0.0, 1.0));
-    const SimDuration jitter =
-        static_cast<SimDuration>(static_cast<double>(prop) * jitter_scale);
-    benchmark::DoNotOptimize(prop + trans + jitter);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NetworkDelayUncached);
 
 void BM_Sha256(benchmark::State& state) {
   const std::string data(static_cast<size_t>(state.range(0)), 'x');
@@ -407,180 +262,15 @@ void BM_MempoolChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_MempoolChurn);
 
-// Byte-for-byte replica of the seed mempool (std::priority_queue of 24-byte
-// entries + unordered_map signer counts + unordered_set gone/zombie tracking)
-// so the A/B comparison against the struct-of-arrays pool runs inside one
-// binary under identical load. Mirrors the seed source, same trick as
-// StdFunctionQueue above.
-class SeedMempool {
- public:
-  explicit SeedMempool(MempoolConfig config, Rng* rng = nullptr)
-      : config_(config), rng_(rng) {}
-
-  AdmitResult Add(TxId id, uint32_t signer, SimTime ingress_time, SimTime ready_time,
-                  TxId* evicted = nullptr) {
-    if (evicted != nullptr) {
-      *evicted = kInvalidTx;
-    }
-    if (config_.global_cap > 0 && live_count_ >= config_.global_cap) {
-      if (!config_.evict_on_full || rng_ == nullptr) {
-        return AdmitResult::kPoolFull;
-      }
-      const TxId victim = EvictRandom();
-      if (victim == kInvalidTx) {
-        return AdmitResult::kPoolFull;
-      }
-      if (evicted != nullptr) {
-        *evicted = victim;
-      }
-    }
-    if (config_.per_signer_cap > 0) {
-      uint32_t& count = signer_counts_[signer];
-      if (count >= config_.per_signer_cap) {
-        return AdmitResult::kSignerCapReached;
-      }
-      ++count;
-    }
-    queue_.push(Entry{ready_time, ingress_time, id, signer});
-    if (config_.evict_on_full) {
-      ring_.emplace_back(id, signer);
-      CompactRingIfNeeded();
-    }
-    ++live_count_;
-    return AdmitResult::kAdmitted;
-  }
-
-  template <typename GasFn, typename BytesFn>
-  void TakeReady(SimTime now, int64_t gas_budget, int64_t byte_budget, size_t max_txs,
-                 GasFn gas_of, BytesFn bytes_of, std::vector<TxId>* taken,
-                 std::vector<TxId>* expired) {
-    int64_t gas = 0;
-    int64_t bytes = 0;
-    while (!queue_.empty() && taken->size() < max_txs) {
-      const Entry& top = queue_.top();
-      if (zombies_.erase(top.id) > 0) {
-        queue_.pop();
-        continue;
-      }
-      if (top.ready > now) {
-        break;
-      }
-      if (config_.ttl > 0 && now - top.ingress > config_.ttl) {
-        expired->push_back(top.id);
-        Remove(top);
-        continue;
-      }
-      const int64_t tx_gas = gas_of(top.id);
-      const int64_t tx_bytes = bytes_of(top.id);
-      if (gas_budget > 0 && gas + tx_gas > gas_budget && !taken->empty()) {
-        break;
-      }
-      if (byte_budget > 0 && bytes + tx_bytes > byte_budget && !taken->empty()) {
-        break;
-      }
-      if (gas_budget > 0 && tx_gas > gas_budget && taken->empty()) {
-        expired->push_back(top.id);
-        Remove(top);
-        continue;
-      }
-      gas += tx_gas;
-      bytes += tx_bytes;
-      taken->push_back(top.id);
-      Remove(top);
-    }
-  }
-
-  size_t size() const { return live_count_; }
-
- private:
-  struct Entry {
-    SimTime ready;
-    SimTime ingress;
-    TxId id;
-    uint32_t signer;
-    bool operator>(const Entry& other) const {
-      if (ready != other.ready) {
-        return ready > other.ready;
-      }
-      return id > other.id;
-    }
-  };
-
-  void Remove(const Entry& top) {
-    NoteGone(top.id);
-    ReleaseSigner(top.signer);
-    --live_count_;
-    queue_.pop();
-  }
-
-  void NoteGone(TxId id) {
-    if (config_.evict_on_full) {
-      gone_.insert(id);
-    }
-  }
-
-  void ReleaseSigner(uint32_t signer) {
-    if (config_.per_signer_cap == 0) {
-      return;
-    }
-    const auto it = signer_counts_.find(signer);
-    if (it != signer_counts_.end() && it->second > 0) {
-      --it->second;
-    }
-  }
-
-  TxId EvictRandom() {
-    while (!ring_.empty()) {
-      const size_t slot = rng_->NextBelow(ring_.size());
-      const auto [id, signer] = ring_[slot];
-      ring_[slot] = ring_.back();
-      ring_.pop_back();
-      if (gone_.erase(id) > 0) {
-        continue;
-      }
-      zombies_.insert(id);
-      ReleaseSigner(signer);
-      --live_count_;
-      return id;
-    }
-    return kInvalidTx;
-  }
-
-  void CompactRingIfNeeded() {
-    if (ring_.size() < 64 || ring_.size() < 2 * live_count_) {
-      return;
-    }
-    std::vector<std::pair<TxId, uint32_t>> compacted;
-    compacted.reserve(live_count_);
-    for (const auto& [id, signer] : ring_) {
-      if (gone_.erase(id) > 0) {
-        continue;
-      }
-      compacted.emplace_back(id, signer);
-    }
-    ring_ = std::move(compacted);
-  }
-
-  MempoolConfig config_;
-  Rng* rng_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  std::unordered_map<uint32_t, uint32_t> signer_counts_;
-  std::vector<std::pair<TxId, uint32_t>> ring_;
-  std::unordered_set<TxId> gone_;
-  std::unordered_set<TxId> zombies_;
-  size_t live_count_ = 0;
-};
-
 // The per-transaction admit/take data path at block-production granularity
 // under geth-style overload (§6.3/§6.5): arrivals are double the pool's
 // global cap, so the back half of every admission wave evicts a random
 // victim, and the drain pops one zombie per taken transaction. This is the
-// regime the admission machinery exists for — the seed pays hash traffic in
-// gone_/zombies_/signer_counts_ on every one of those operations, the
-// struct-of-arrays pool pays byte writes. Ids are fresh across iterations
-// (they never recur in real runs), so both benches run a fixed iteration
-// count over an identical workload. Items/sec counts transactions through
-// the full admit+take cycle.
+// regime the admission machinery exists for; the struct-of-arrays pool pays
+// byte writes on every one of those operations. Ids are fresh across
+// iterations (they never recur in real runs), so the bench runs a fixed
+// iteration count. Items/sec counts transactions through the full
+// admit+take cycle.
 constexpr size_t kAdmitTakeBlock = 512;
 constexpr int kAdmitTakeIterations = 12;
 constexpr size_t kAdmitTakeSigners = 4096;
@@ -625,40 +315,6 @@ void BM_MempoolAdmitTake(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_MempoolAdmitTake)
-    ->Arg(100000)
-    ->Iterations(kAdmitTakeIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MempoolAdmitTakeBaseline(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(42);
-  SeedMempool pool(AdmitTakePolicies(n), &rng);
-  std::vector<TxId> taken;
-  std::vector<TxId> expired;
-  taken.reserve(kAdmitTakeBlock);
-  expired.reserve(kAdmitTakeBlock);
-  TxId next = 0;
-  SimTime now = 0;
-  for (auto _ : state) {
-    for (size_t k = 0; k < n; ++k) {
-      pool.Add(next, next % kAdmitTakeSigners, now, now);
-      ++next;
-    }
-    now += Seconds(1);
-    while (pool.size() > 0) {
-      taken.clear();
-      expired.clear();
-      pool.TakeReady(now, 0, 0, kAdmitTakeBlock, [](TxId) { return 21000; },
-                     [](TxId) { return 110; }, &taken, &expired);
-      benchmark::DoNotOptimize(taken.data());
-      if (taken.empty() && expired.empty()) {
-        break;
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_MempoolAdmitTakeBaseline)
     ->Arg(100000)
     ->Iterations(kAdmitTakeIterations)
     ->Unit(benchmark::kMillisecond);
@@ -749,157 +405,10 @@ void BM_BlockAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockAssembly)->Iterations(kAssemblyIterations);
 
-// The seed-shaped assembly path under the identical overload workload:
-// hash-container mempool, a freshly allocated std::vector<TxId> per drafted
-// block, blocks owning their tx vectors. Eviction drops and commit
-// bookkeeping (per-tx commit times from the same rng recipe, drawn from the
-// same stream as the eviction draws) match the real pipeline so both sides
-// do the same work per transaction.
-void BM_BlockAssemblyBaseline(benchmark::State& state) {
-  struct OldBlock {
-    uint64_t height = 0;
-    int64_t gas_used = 0;
-    int64_t bytes = 0;
-    std::vector<TxId> txs;
-  };
-  Rng rng(7);
-  SeedMempool pool(AssemblyPolicies(), &rng);
-  const size_t total_txs = kAssemblyAdmitPerBlock *
-                           static_cast<size_t>(kAssemblyIterations + kAssemblyWarmupBlocks);
-  std::vector<Transaction> txs;
-  txs.reserve(total_txs);
-  for (size_t i = 0; i < total_txs; ++i) {
-    Transaction tx;
-    tx.account = static_cast<uint32_t>(i % kAssemblySigners);
-    tx.gas = 21000;
-    tx.size_bytes = 110;
-    txs.push_back(tx);
-  }
-  std::vector<OldBlock> ledger;
-  ledger.reserve(static_cast<size_t>(kAssemblyIterations + kAssemblyWarmupBlocks) + 1);
-  const SimDuration poll = GetChainParams("quorum").client_poll_interval;
-
-  uint64_t height = 1;
-  TxId next = 0;
-  SimTime now = 0;
-  auto run_block = [&] {
-    for (size_t k = 0; k < kAssemblyAdmitPerBlock; ++k) {
-      TxId evicted = kInvalidTx;
-      pool.Add(next, next % kAssemblySigners, now, now, &evicted);
-      if (evicted != kInvalidTx) {
-        txs[evicted].phase = TxPhase::kDropped;
-      }
-      ++next;
-    }
-    OldBlock block;
-    block.height = height;
-    std::vector<TxId> expired;
-    pool.TakeReady(now, 0, 0, kAdmitTakeBlock,
-                   [&txs](TxId id) { return txs[id].gas; },
-                   [&txs](TxId id) { return static_cast<int64_t>(txs[id].size_bytes); },
-                   &block.txs, &expired);
-    for (const TxId id : expired) {
-      txs[id].phase = TxPhase::kDropped;
-    }
-    for (const TxId id : block.txs) {
-      block.gas_used += txs[id].gas;
-      block.bytes += txs[id].size_bytes;
-    }
-    const SimTime final_time = now + Milliseconds(900);
-    for (const TxId id : block.txs) {
-      const SimDuration observe =
-          Milliseconds(1) +
-          static_cast<SimDuration>(rng.NextBelow(static_cast<uint64_t>(poll) + 1));
-      Transaction& tx = txs[id];
-      tx.phase = TxPhase::kCommitted;
-      tx.commit_time = final_time + observe;
-    }
-    benchmark::DoNotOptimize(block.txs.data());
-    ledger.push_back(std::move(block));
-    ++height;
-    now += Seconds(1);
-  };
-  for (int i = 0; i < kAssemblyWarmupBlocks; ++i) {
-    run_block();
-  }
-
-  uint64_t measured_allocs = 0;
-  int64_t measured_blocks = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    run_block();
-    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-    measured_allocs += after - before;
-    ++measured_blocks;
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kAdmitTakeBlock));
-  state.counters["allocs_per_block"] =
-      measured_blocks > 0
-          ? static_cast<double>(measured_allocs) / static_cast<double>(measured_blocks)
-          : 0.0;
-}
-BENCHMARK(BM_BlockAssemblyBaseline)->Iterations(kAssemblyIterations);
-
 // --- message-plane and VM dispatch kernels ----------------------------------
-// The A/B pairs behind the "kernels" entry of BENCH_runner.json: four
-// current-path kernels run against a byte-for-byte replica of the seed shape
-// (allocating per-receiver reductions, per-call broadcast vectors, the
-// byte-decoding VM loop), and SelectKth runs against std::nth_element, inside
-// this one binary, same compiler flags, same data. The custom main() below
-// re-times the pairs with plain chrono medians and records the speedups.
-
-// Seed-shaped QuorumArrival: a fresh arrivals vector per receiver, double
-// multiply for every hop, nth_element from scratch each time.
-SimDuration SeedQuorumArrival(const PairwiseDelays& delays,
-                              const std::vector<SimDuration>& send_times,
-                              size_t receiver, size_t quorum, double hop_scale) {
-  std::vector<SimDuration> arrivals;
-  arrivals.reserve(send_times.size());
-  for (size_t j = 0; j < send_times.size(); ++j) {
-    if (send_times[j] == kUnreachable) {
-      continue;
-    }
-    const SimDuration hop = delays.at(j, receiver);
-    if (hop == kUnreachable) {
-      continue;
-    }
-    arrivals.push_back(send_times[j] +
-                       static_cast<SimDuration>(static_cast<double>(hop) * hop_scale));
-  }
-  if (arrivals.size() < quorum || quorum == 0) {
-    return kUnreachable;
-  }
-  std::nth_element(arrivals.begin(), arrivals.begin() + static_cast<long>(quorum - 1),
-                   arrivals.end());
-  return arrivals[quorum - 1];
-}
-
-std::vector<SimDuration> SeedQuorumArrivalAll(const PairwiseDelays& delays,
-                                              const std::vector<SimDuration>& send_times,
-                                              size_t quorum, double hop_scale) {
-  std::vector<SimDuration> result(send_times.size(), kUnreachable);
-  for (size_t i = 0; i < send_times.size(); ++i) {
-    result[i] = SeedQuorumArrival(delays, send_times, i, quorum, hop_scale);
-  }
-  return result;
-}
-
-SimDuration SeedMedianDelay(const std::vector<SimDuration>& delays) {
-  std::vector<SimDuration> reachable;
-  reachable.reserve(delays.size());
-  for (const SimDuration d : delays) {
-    if (d != kUnreachable) {
-      reachable.push_back(d);
-    }
-  }
-  if (reachable.empty()) {
-    return kUnreachable;
-  }
-  const size_t mid = reachable.size() / 2;
-  std::nth_element(reachable.begin(), reachable.begin() + static_cast<long>(mid),
-                   reachable.end());
-  return reachable[mid];
-}
+// The vote plane's quorum reductions and gossip broadcast on a 200-validator
+// fixture, SelectKth against std::nth_element on the same data, and the VM's
+// pre-decoded dispatch loop against the reference byte interpreter.
 
 // A 200-validator message plane (the fig3 upper end): jittered delay matrix,
 // Byzantine quorum, gossip hop scale 4.0, and 64 pre-generated send-time
@@ -945,41 +454,19 @@ struct PlaneFixture {
 
 // One PBFT-shaped round reduction: two chained all-receiver quorum stages
 // plus the commit median — the per-block work every engine performs.
-SimDuration RoundReductionCurrent(PlaneFixture& f, const std::vector<SimDuration>& sends) {
-  QuorumArrivalAllInto(*f.delays, sends, f.quorum, f.hop_scale, &f.plane,
-                       &f.plane.stage_b);
-  QuorumArrivalAllInto(*f.delays, f.plane.stage_b, f.quorum, f.hop_scale, &f.plane,
-                       &f.plane.stage_c);
-  return MedianDelayInto(f.plane.stage_c, &f.plane);
-}
-
-SimDuration RoundReductionSeed(PlaneFixture& f, const std::vector<SimDuration>& sends) {
-  const std::vector<SimDuration> prepared =
-      SeedQuorumArrivalAll(*f.delays, sends, f.quorum, f.hop_scale);
-  const std::vector<SimDuration> committed =
-      SeedQuorumArrivalAll(*f.delays, prepared, f.quorum, f.hop_scale);
-  return SeedMedianDelay(committed);
-}
-
 void BM_PairwiseDelays(benchmark::State& state) {
   PlaneFixture f;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RoundReductionCurrent(f, f.SendsFor(i++)));
+    QuorumArrivalAllInto(*f.delays, f.SendsFor(i++), f.quorum, f.hop_scale, &f.plane,
+                         &f.plane.stage_b);
+    QuorumArrivalAllInto(*f.delays, f.plane.stage_b, f.quorum, f.hop_scale, &f.plane,
+                         &f.plane.stage_c);
+    benchmark::DoNotOptimize(MedianDelayInto(f.plane.stage_c, &f.plane));
   }
   state.SetItemsProcessed(state.iterations() * PlaneFixture::kNodes * 2);
 }
 BENCHMARK(BM_PairwiseDelays);
-
-void BM_PairwiseDelaysBaseline(benchmark::State& state) {
-  PlaneFixture f;
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RoundReductionSeed(f, f.SendsFor(i++)));
-  }
-  state.SetItemsProcessed(state.iterations() * PlaneFixture::kNodes * 2);
-}
-BENCHMARK(BM_PairwiseDelaysBaseline);
 
 void BM_QuorumArrival(benchmark::State& state) {
   PlaneFixture f;
@@ -992,18 +479,6 @@ void BM_QuorumArrival(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QuorumArrival);
-
-void BM_QuorumArrivalBaseline(benchmark::State& state) {
-  PlaneFixture f;
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SeedQuorumArrival(*f.delays, f.SendsFor(i), i % 200, f.quorum, f.hop_scale));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuorumArrivalBaseline);
 
 // The selection step alone: the quorum-rank (2f+1 of n) order statistic of
 // arrival-shaped values (50-250 ms at ns resolution), SelectKth against
@@ -1063,59 +538,6 @@ void BM_SelectKthNthElement(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectKthNthElement)->Arg(10)->Arg(200)->Arg(511);
 
-// Seed-shaped broadcast: fresh result/order/frontier vectors every call,
-// otherwise the same shuffled BFS gossip tree as Network::BroadcastDelaysInto
-// (reconstructed over the public topology API, with its own rng and the
-// default 5% jitter fraction).
-std::vector<SimDuration> SeedBroadcastDelays(Network& net, Rng& rng, HostId origin,
-                                             const std::vector<HostId>& recipients,
-                                             int64_t bytes, int fanout) {
-  constexpr double kJitterFrac = 0.05;
-  std::vector<SimDuration> result(recipients.size(), kUnreachable);
-  if (fanout < 1) {
-    fanout = 1;
-  }
-  std::vector<size_t> order;
-  order.reserve(recipients.size());
-  for (size_t i = 0; i < recipients.size(); ++i) {
-    if (recipients[i] == origin) {
-      result[i] = 0;
-      continue;
-    }
-    order.push_back(i);
-  }
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.NextBelow(i)]);
-  }
-  struct TreeNode {
-    HostId host;
-    SimDuration ready;
-  };
-  std::vector<TreeNode> frontier = {{origin, 0}};
-  size_t next = 0;
-  size_t frontier_head = 0;
-  while (next < order.size() && frontier_head < frontier.size()) {
-    TreeNode parent = frontier[frontier_head++];
-    for (int k = 0; k < fanout && next < order.size(); ++k, ++next) {
-      const size_t idx = order[next];
-      const HostId child = recipients[idx];
-      const Region pr = net.HostRegion(parent.host);
-      const Region cr = net.HostRegion(child);
-      const LinkParams& link = Topology::Link(pr, cr);
-      const SimDuration slot =
-          Topology::TransmissionDelayOn(link, bytes) * static_cast<SimDuration>(k + 1);
-      const SimDuration prop = link.propagation;
-      const double jitter_scale = kJitterFrac * std::abs(rng.NextGaussian(0.0, 1.0));
-      const SimDuration jitter =
-          static_cast<SimDuration>(static_cast<double>(prop) * jitter_scale);
-      const SimDuration arrival = parent.ready + slot + prop + jitter;
-      result[idx] = arrival;
-      frontier.push_back(TreeNode{child, arrival});
-    }
-  }
-  return result;
-}
-
 void BM_Broadcast(benchmark::State& state) {
   PlaneFixture f;
   for (auto _ : state) {
@@ -1127,21 +549,10 @@ void BM_Broadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_Broadcast);
 
-void BM_BroadcastBaseline(benchmark::State& state) {
-  PlaneFixture f;
-  Rng rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SeedBroadcastDelays(f.net, rng, f.hosts[0], f.hosts, 50'000, 8).data());
-  }
-  state.SetItemsProcessed(state.iterations() * PlaneFixture::kNodes);
-}
-BENCHMARK(BM_BroadcastBaseline);
-
-// VM dispatch A/B: the same heavy contract call (10,000 Newton square roots)
-// through the pre-decoded dispatch loop vs the byte-decoding loop. The
-// baseline program is a copy with the decoded table stripped, which routes
-// Execute through the reference interpreter.
+// VM dispatch: the same heavy contract call (10,000 Newton square roots)
+// through the pre-decoded dispatch loop vs the byte-decoding loop. The byte
+// program is a copy with the decoded table stripped, which routes Execute
+// through the reference interpreter that vm_test cross-checks against.
 struct VmDispatchFixture {
   Program decoded_program;
   Program byte_program;
@@ -1183,7 +594,7 @@ void BM_VmDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_VmDispatch);
 
-void BM_VmDispatchBaseline(benchmark::State& state) {
+void BM_VmDispatchReference(benchmark::State& state) {
   VmDispatchFixture f;
   int64_t ops = 0;
   for (auto _ : state) {
@@ -1193,7 +604,7 @@ void BM_VmDispatchBaseline(benchmark::State& state) {
   }
   state.SetItemsProcessed(ops);
 }
-BENCHMARK(BM_VmDispatchBaseline);
+BENCHMARK(BM_VmDispatchReference);
 
 void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) {
@@ -1224,146 +635,7 @@ workloads:
 }
 BENCHMARK(BM_YamlParse);
 
-// --- kernel speedup summary --------------------------------------------------
-// Re-times the six kernel pairs with plain chrono medians (shared work
-// functions with the registered benchmarks above) and records the results as
-// the "kernels" entry of BENCH_runner.json, next to the runner binaries'
-// stats. Medians of several repetitions keep one descheduling blip from
-// polluting the recorded speedups.
-
-template <typename Fn>
-double MedianNsPerOp(Fn&& fn, int iters, int reps) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    // detlint: allow(D2, benchmark harness: timing the kernel is the point; nothing simulated reads it)
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      fn(static_cast<size_t>(i));
-    }
-    // detlint: allow(D2, benchmark harness: timing the kernel is the point; nothing simulated reads it)
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
-        static_cast<double>(iters));
-  }
-  std::nth_element(samples.begin(), samples.begin() + reps / 2, samples.end());
-  return samples[static_cast<size_t>(reps) / 2];
-}
-
-std::string KernelEntryJson(double current_ns, double baseline_ns) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "{\"current_ns\": %.1f, \"baseline_ns\": %.1f, \"speedup\": %.2f}",
-                current_ns, baseline_ns,
-                current_ns > 0 ? baseline_ns / current_ns : 0.0);
-  return buf;
-}
-
-void WriteKernelSummary(const char* path) {
-  std::string json = "{";
-
-  {
-    PlaneFixture f;
-    volatile SimDuration sink = 0;
-    const double current = MedianNsPerOp(
-        [&](size_t i) { sink = RoundReductionCurrent(f, f.SendsFor(i)); }, 200, 5);
-    PlaneFixture g;
-    const double baseline = MedianNsPerOp(
-        [&](size_t i) { sink = RoundReductionSeed(g, g.SendsFor(i)); }, 200, 5);
-    (void)sink;
-    json += "\"pairwise_delays\": " + KernelEntryJson(current, baseline);
-  }
-  {
-    PlaneFixture f;
-    volatile SimDuration sink = 0;
-    const double current = MedianNsPerOp(
-        [&](size_t i) {
-          sink = QuorumArrivalInto(*f.delays, f.SendsFor(i), i % 200, f.quorum,
-                                   f.hop_scale, &f.plane);
-        },
-        20000, 5);
-    const double baseline = MedianNsPerOp(
-        [&](size_t i) {
-          sink = SeedQuorumArrival(*f.delays, f.SendsFor(i), i % 200, f.quorum,
-                                   f.hop_scale);
-        },
-        20000, 5);
-    (void)sink;
-    json += ", \"quorum_arrival\": " + KernelEntryJson(current, baseline);
-  }
-  {
-    SelectFixture f(PlaneFixture::kNodes);
-    volatile SimDuration sink = 0;
-    const double current =
-        MedianNsPerOp([&](size_t i) { sink = f.BucketSelect(i); }, 20000, 5);
-    const double baseline =
-        MedianNsPerOp([&](size_t i) { sink = f.NthElement(i); }, 20000, 5);
-    (void)sink;
-    json += ", \"select_kth\": " + KernelEntryJson(current, baseline);
-  }
-  {
-    PlaneFixture f;
-    Rng rng(5);
-    volatile int64_t sink = 0;
-    const double current = MedianNsPerOp(
-        [&](size_t) {
-          f.net.BroadcastDelaysInto(f.hosts[0], f.hosts, 50'000, 8,
-                                    &f.plane.broadcast, &f.plane.stage_a);
-          sink = f.plane.stage_a.back();
-        },
-        2000, 5);
-    const double baseline = MedianNsPerOp(
-        [&](size_t) {
-          sink = SeedBroadcastDelays(f.net, rng, f.hosts[0], f.hosts, 50'000, 8).back();
-        },
-        2000, 5);
-    (void)sink;
-    json += ", \"broadcast\": " + KernelEntryJson(current, baseline);
-  }
-  {
-    VmDispatchFixture f;
-    volatile int64_t sink = 0;
-    const double current =
-        MedianNsPerOp([&](size_t) { sink = f.Run(f.decoded_program).gas_used; }, 20, 3);
-    const double baseline =
-        MedianNsPerOp([&](size_t) { sink = f.Run(f.byte_program).gas_used; }, 20, 3);
-    (void)sink;
-    json += ", \"vm_dispatch\": " + KernelEntryJson(current, baseline);
-  }
-  {
-    // The dispatched kernel against the portable one; equal on CPUs without
-    // the SHA extensions.
-    SortitionBlock block(7, 1, 2);
-    volatile double sink = 0;
-    const double current = MedianNsPerOp([&](size_t i) { sink = block.Draw(i); }, 20000, 5);
-    const double baseline = MedianNsPerOp(
-        [&](size_t i) { sink = block.Draw(i, Sha256CompressPortable); }, 20000, 5);
-    (void)sink;
-    json += ", \"sortition_draw\": " + KernelEntryJson(current, baseline);
-  }
-  json += "}";
-  WriteRunnerJsonEntry(path, "kernels", json);
-}
-
 }  // namespace
-
-// Called from main; reachable through the enclosing namespace even though the
-// definition sits in the unnamed namespace of this TU.
-void RunKernelSummary(const char* path) { WriteKernelSummary(path); }
-
 }  // namespace diablo
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // The kernel summary runs unconditionally (it is quick) so every bench
-  // invocation refreshes the recorded speedups alongside the runner stats.
-  diablo::RunKernelSummary("BENCH_runner.json");
-  return 0;
-}
+BENCHMARK_MAIN();

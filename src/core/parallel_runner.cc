@@ -195,12 +195,8 @@ std::string StatsEntryJson(const RunnerStats& stats) {
 
 bool WriteRunnerStatsJson(const std::string& path, const std::string& binary,
                           const RunnerStats& stats) {
-  return WriteRunnerJsonEntry(path, binary, StatsEntryJson(stats));
-}
-
-bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
-                          const std::string& entry_json) {
-  // Keep other binaries' entries so the file accumulates a whole-suite view.
+  // Keep other binaries' entries so the file accumulates a whole-suite view,
+  // but only from a file written under this schema version.
   std::vector<std::pair<std::string, std::string>> entries;
   {
     std::ifstream in(path);
@@ -208,11 +204,12 @@ bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
       std::ostringstream raw;
       raw << in.rdbuf();
       const JsonResult parsed = ParseJson(raw.str());
-      if (parsed.ok && parsed.value.IsObject()) {
+      if (parsed.ok && parsed.value.IsObject() &&
+          parsed.value.GetNumber("schema_version", -1) == kRunnerStatsSchemaVersion) {
         for (const auto& [existing, value] : parsed.value.members) {
           // The schema stamp is re-emitted at the top, never copied through;
-          // this entry's key is replaced below.
-          if (existing == key || existing == "schema_version") {
+          // this binary's entry is replaced below.
+          if (existing == binary || existing == "schema_version") {
             continue;
           }
           std::ostringstream serialized;
@@ -222,7 +219,7 @@ bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
       }
     }
   }
-  entries.emplace_back(key, entry_json);
+  entries.emplace_back(binary, StatsEntryJson(stats));
 
   std::ofstream out(path, std::ios::trunc);
   if (!out) {

@@ -77,25 +77,21 @@ class ParallelRunner {
 uint64_t CellSeed(uint64_t base_seed, uint64_t cell_index);
 
 // Version stamp of the BENCH_runner.json layout. Version 2 added the
-// top-level "schema_version" key itself; version 3 added the "kernels" entry
-// (micro-kernel speedups vs in-binary seed replicas, written by
-// micro_benchmarks) alongside the per-runner-binary stats. Bump it when an
-// entry field is added, removed or changes meaning, so perf-trajectory
-// tooling comparing files across PRs can tell layouts apart.
-inline constexpr int kRunnerStatsSchemaVersion = 3;
+// top-level "schema_version" key itself; version 3 added a "kernels" entry
+// of micro-kernel speedups; version 4 removed it again, so every entry is a
+// runner binary's stats. Bump it when an entry field is added, removed or
+// changes meaning, so perf-trajectory tooling comparing files across PRs can
+// tell layouts apart.
+inline constexpr int kRunnerStatsSchemaVersion = 4;
 
 // Writes (or updates) `path` — a JSON object with a "schema_version" stamp
 // plus one member per benchmark binary mapping to its runner stats —
 // replacing this binary's entry and keeping the others, so successive bench
-// binaries accumulate into one report. Returns false on I/O failure.
+// binaries accumulate into one report. Entries of a file stamped with
+// another schema version are dropped, never carried over under the new
+// stamp. Returns false on I/O failure.
 bool WriteRunnerStatsJson(const std::string& path, const std::string& binary,
                           const RunnerStats& stats);
-
-// Same merge-and-rewrite, but with a caller-provided pre-serialized JSON
-// value for `key` — used for entries that are not RunnerStats, like the
-// micro-kernel speedup summary.
-bool WriteRunnerJsonEntry(const std::string& path, const std::string& key,
-                          const std::string& entry_json);
 
 }  // namespace diablo
 

@@ -29,6 +29,7 @@ SimDuration Network::DelaySample(HostId from, HostId to, int64_t bytes) {
 SimDuration Network::DelaySampleFrom(Rng* rng, HostId from, HostId to,
                                      int64_t bytes) {
   if (partitioned_[from] || partitioned_[to]) {
+    ++stats_.unreachable_drops;
     return kUnreachable;
   }
   if (from == to) {
@@ -112,18 +113,6 @@ void Network::FillPairwiseDelays(const std::vector<HostId>& hosts,
       row[j] = entry.base + static_cast<SimDuration>(entry.prop * jitter_scale);
     }
   }
-}
-
-void Network::Send(HostId from, HostId to, int64_t bytes, EventFn fn) {
-  ++stats_.sends;
-  const SimDuration delay = DelaySample(from, to, bytes);
-  if (delay == kUnreachable) {
-    // Dropped like a real network would drop it — but counted, so fault
-    // runs can report how much traffic the failure destroyed.
-    ++stats_.unreachable_drops;
-    return;
-  }
-  sim_->Schedule(delay, std::move(fn));
 }
 
 std::vector<SimDuration> Network::BroadcastDelays(HostId origin,

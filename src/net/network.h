@@ -107,13 +107,17 @@ SimDuration QuorumArrivalLargeN(const StreamedDelays& delays, const uint32_t* se
                                 size_t receiver, size_t quorum, double hop_scale,
                                 std::vector<SimDuration>* scratch);
 
-// Per-network message accounting, so fault runs are observable: how many
-// point-to-point sends happened, how many were dropped because an endpoint
-// was unreachable, and how many fell to an injected loss window.
+// Per-network message accounting, so fault runs are observable.
+//
+// unreachable_drops counts single-message samples (DelaySample and
+// DelaySampleFrom: client hops and the engines' point-to-point draws) that
+// found an endpoint partitioned. The vote-plane matrices (FillPairwiseDelays,
+// StreamedDelays, broadcasts) are not counted. loss_drops counts every
+// sample, single or matrix entry, that an injected loss window dropped; a
+// loss drop is not also an unreachable drop.
 struct NetworkStats {
-  uint64_t sends = 0;              // Send() calls
-  uint64_t unreachable_drops = 0;  // Send() drops: endpoint partitioned/lost
-  uint64_t loss_drops = 0;         // messages dropped by a loss window
+  uint64_t unreachable_drops = 0;
+  uint64_t loss_drops = 0;
 };
 
 class Network {
@@ -129,7 +133,8 @@ class Network {
   size_t host_count() const { return regions_.size(); }
 
   // Samples a one-way delay for `bytes` from `from` to `to`. Returns
-  // kUnreachable when either endpoint is partitioned off.
+  // kUnreachable when either endpoint is partitioned off (counted in
+  // stats().unreachable_drops) or a loss window drops the message.
   SimDuration DelaySample(HostId from, HostId to, int64_t bytes);
 
   // DelaySample with the jitter draw taken from a caller-owned generator
@@ -146,10 +151,6 @@ class Network {
   // per entry.
   void FillPairwiseDelays(const std::vector<HostId>& hosts, int64_t message_bytes,
                           std::vector<SimDuration>* out);
-
-  // Schedules `fn` at the destination after a sampled delay; drops the
-  // message silently when unreachable (like a real network would).
-  void Send(HostId from, HostId to, int64_t bytes, EventFn fn);
 
   // Delay from `origin` to each entry of `recipients` when `bytes` are
   // disseminated through a gossip tree with the given fanout. recipients[i]

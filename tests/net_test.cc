@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/net/deployment.h"
 #include "src/net/network.h"
@@ -107,7 +108,9 @@ TEST(NetworkTest, SendDeliversAfterDelay) {
   const HostId a = net.AddHost(Region::kOhio);
   const HostId b = net.AddHost(Region::kTokyo);
   SimTime arrival = -1;
-  net.Send(a, b, 100, [&] { arrival = sim.Now(); });
+  const SimDuration delay = net.DelaySample(a, b, 100);
+  ASSERT_NE(delay, kUnreachable);
+  sim.Schedule(delay, [&] { arrival = sim.Now(); });
   sim.Run();
   // One-way Ohio->Tokyo is at least RTT/2 = 65.9 ms.
   EXPECT_GE(arrival, MillisecondsF(65.9));
@@ -127,15 +130,15 @@ TEST(NetworkTest, PartitionDropsMessages) {
   const HostId a = net.AddHost(Region::kOhio);
   const HostId b = net.AddHost(Region::kTokyo);
   net.SetPartitioned(b, true);
+  // Either endpoint being cut off drops the message, in both directions and
+  // whichever generator draws the jitter.
+  Rng client_rng(3);
   EXPECT_EQ(net.DelaySample(a, b, 10), kUnreachable);
-  bool delivered = false;
-  net.Send(a, b, 10, [&] { delivered = true; });
-  sim.Run();
-  EXPECT_FALSE(delivered);
+  EXPECT_EQ(net.DelaySample(b, a, 10), kUnreachable);
+  EXPECT_EQ(net.DelaySampleFrom(&client_rng, a, b, 10), kUnreachable);
   net.SetPartitioned(b, false);
-  net.Send(a, b, 10, [&] { delivered = true; });
-  sim.Run();
-  EXPECT_TRUE(delivered);
+  EXPECT_NE(net.DelaySample(a, b, 10), kUnreachable);
+  EXPECT_NE(net.DelaySampleFrom(&client_rng, b, a, 10), kUnreachable);
 }
 
 TEST(NetworkTest, ExtraDelayInjection) {
@@ -171,14 +174,22 @@ TEST(NetworkTest, SendStatsCountUnreachableDrops) {
   Network net(&sim);
   const HostId a = net.AddHost(Region::kOhio);
   const HostId b = net.AddHost(Region::kTokyo);
-  net.Send(a, b, 10, [] {});
-  EXPECT_EQ(net.stats().sends, 1u);
+  EXPECT_NE(net.DelaySample(a, b, 10), kUnreachable);
   EXPECT_EQ(net.stats().unreachable_drops, 0u);
   net.SetPartitioned(b, true);
-  net.Send(a, b, 10, [] {});
-  EXPECT_EQ(net.stats().sends, 2u);
+  EXPECT_EQ(net.DelaySample(a, b, 10), kUnreachable);
   EXPECT_EQ(net.stats().unreachable_drops, 1u);
-  sim.Run();
+  // Client hops draw from their own generator and count the same way.
+  Rng client_rng(3);
+  EXPECT_EQ(net.DelaySampleFrom(&client_rng, b, a, 10), kUnreachable);
+  EXPECT_EQ(net.stats().unreachable_drops, 2u);
+  // The vote-plane matrix and broadcast forms are not counted.
+  std::vector<SimDuration> matrix;
+  net.FillPairwiseDelays({a, b}, 10, &matrix);
+  EXPECT_EQ(matrix[1], kUnreachable);
+  EXPECT_EQ(net.BroadcastDelays(a, {a, b}, 10, 8)[1], kUnreachable);
+  EXPECT_EQ(net.stats().unreachable_drops, 2u);
+  EXPECT_EQ(net.stats().loss_drops, 0u);
 }
 
 TEST(NetworkTest, LossWindowDropsAndCounts) {
@@ -188,19 +199,18 @@ TEST(NetworkTest, LossWindowDropsAndCounts) {
   const HostId b = net.AddHost(Region::kTokyo);
   // Certain loss until t = 10 s; afterwards the link is clean again.
   net.AddLossWindow(0, Seconds(10), 1.0);
-  int delivered = 0;
+  int dropped = 0;
   for (int i = 0; i < 5; ++i) {
-    net.Send(a, b, 10, [&] { ++delivered; });
+    dropped += net.DelaySample(a, b, 10) == kUnreachable ? 1 : 0;
   }
-  bool late_delivered = false;
-  sim.ScheduleAt(Seconds(11), [&] {
-    net.Send(a, b, 10, [&] { late_delivered = true; });
-  });
+  SimDuration late = kUnreachable;
+  sim.ScheduleAt(Seconds(11), [&] { late = net.DelaySample(a, b, 10); });
   sim.Run();
-  EXPECT_EQ(delivered, 0);
-  EXPECT_TRUE(late_delivered);
+  EXPECT_EQ(dropped, 5);
+  EXPECT_NE(late, kUnreachable);
+  // Loss draws count in loss_drops only; unreachable_drops is for partitions.
   EXPECT_EQ(net.stats().loss_drops, 5u);
-  EXPECT_EQ(net.stats().unreachable_drops, 5u);
+  EXPECT_EQ(net.stats().unreachable_drops, 0u);
 }
 
 TEST(NetworkTest, RegionPairLossLeavesOtherLinksAlone) {

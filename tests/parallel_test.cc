@@ -367,5 +367,34 @@ TEST(RunnerStatsTest, JsonRoundTripKeepsOtherBinaries) {
   EXPECT_EQ(stamps, 1);
 }
 
+TEST(RunnerStatsTest, OtherSchemaVersionLosesItsEntries) {
+  // A file written under another layout (here a v3 file with its "kernels"
+  // entry) must not pass its entries through under the current stamp.
+  const std::string path = ::testing::TempDir() + "/BENCH_runner_stale.json";
+  {
+    std::ofstream stale(path, std::ios::trunc);
+    stale << "{\"schema_version\": " << kRunnerStatsSchemaVersion - 1
+          << ", \"kernels\": {\"speedup\": 2.0}, \"table1\": {\"cells\": 3}}\n";
+  }
+  RunnerStats stats;
+  stats.jobs = 1;
+  stats.cells = 6;
+  ASSERT_TRUE(WriteRunnerStatsJson(path, "fig6_faults", stats));
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const JsonResult parsed = ParseJson(buffer.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value.GetNumber("schema_version", -1), kRunnerStatsSchemaVersion);
+  EXPECT_EQ(parsed.value.Find("kernels"), nullptr);
+  EXPECT_EQ(parsed.value.Find("table1"), nullptr);
+  const JsonValue* faults = parsed.value.Find("fig6_faults");
+  ASSERT_NE(faults, nullptr);
+  EXPECT_EQ(faults->GetNumber("cells", 0), 6);
+  EXPECT_EQ(parsed.value.members.size(), 2u);
+}
+
 }  // namespace
 }  // namespace diablo
