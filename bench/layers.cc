@@ -79,8 +79,10 @@ void DataLayer() {
   for (int i = 0; i < consortium.node_count; ++i) {
     hosts.push_back(net.AddHost(consortium.NodeRegion(i)));
   }
+  BroadcastScratch scratch;
+  std::vector<SimDuration> delays;
   for (const int fanout : {4, 8, 199}) {
-    const auto delays = net.BroadcastDelays(hosts[0], hosts, 1000 * 140, fanout);
+    net.BroadcastDelaysInto(hosts[0], hosts, 1000 * 140, fanout, &scratch, &delays);
     SampleSet arrival;
     for (const SimDuration d : delays) {
       if (d != kUnreachable) {

@@ -1,8 +1,8 @@
 // Micro benchmarks (google-benchmark) for the substrates: event loop
-// throughput, network delay sampling, SHA-256, sortition, Merkle trees, VM
-// execution per dialect, mempool operations, block assembly, the vote
-// plane's kernels, trace generation and YAML parsing. Every benchmark times
-// code the simulator runs; the only comparisons are against live
+// throughput, network delay sampling, SHA-256, sortition, VM execution per
+// dialect, mempool operations, block assembly, the vote plane's and the
+// broadcast tree's allocation-free kernels, trace generation and YAML
+// parsing. Every benchmark times code the simulator runs; the only comparisons are against live
 // alternatives (std::nth_element, the reference byte interpreter, the
 // portable SHA-256 kernel). Use google-benchmark's own --benchmark_out for a
 // machine-readable record.
@@ -20,7 +20,6 @@
 #include "src/chains/params.h"
 #include "src/config/yaml.h"
 #include "src/contracts/contracts.h"
-#include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sortition.h"
 #include "src/net/deployment.h"
@@ -160,18 +159,6 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_MerkleRoot(benchmark::State& state) {
-  std::vector<Digest256> leaves;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    leaves.push_back(Sha256Digest(std::string("tx") + std::to_string(i)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MerkleRoot(leaves));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MerkleRoot)->Arg(64)->Arg(1024);
 
 // One VRF draw — a single SHA-256 compression — through each kernel.
 void BM_SortitionDraw(benchmark::State& state, SortitionBlock::Kernel kernel,

@@ -46,15 +46,4 @@ void Ledger::Append(Block block) {
 #endif
 }
 
-Digest256 Ledger::HeaderChainDigest() const {
-  Sha256 hasher;
-  for (const Block& block : blocks_) {
-    hasher.Update(&block.height, sizeof(block.height));
-    hasher.Update(&block.proposer, sizeof(block.proposer));
-    const uint64_t n = block.tx_count;
-    hasher.Update(&n, sizeof(n));
-  }
-  return hasher.Finish();
-}
-
 }  // namespace diablo

@@ -52,10 +52,6 @@ class Ledger {
 
   size_t total_txs() const { return total_txs_; }
 
-  // Header-chain digest over (height, proposer, tx count) triples; gives
-  // tests a cheap integrity check without hashing every transaction.
-  Digest256 HeaderChainDigest() const;
-
  private:
   std::vector<Block> blocks_;
   size_t total_txs_ = 0;

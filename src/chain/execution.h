@@ -55,13 +55,11 @@ class CostOracle {
   const CallProfile& Profile(int contract_index, const std::string& function,
                              const std::vector<int64_t>& args);
 
-  // Function-name table per contract (Transaction::function indexes it).
+  // Index of `function` in the contract's function-name table
+  // (Transaction::function holds it), or -1 when it has no such function.
   int FunctionIndex(int contract_index, const std::string& function);
-  const std::string& FunctionName(int contract_index, int function_index) const;
 
   VmDialect dialect() const { return dialect_; }
-  size_t contract_count() const { return deployed_.size(); }
-  const std::string& ContractName(int contract_index) const;
 
  private:
   struct Deployed {

@@ -389,9 +389,6 @@ void ChainContext::FinalizeBlock(uint64_t height, int proposer, BuiltBlock&& bui
       tx.phase = TxPhase::kAborted;
     }
     tx.commit_time = commit_time;
-    if (on_tx_complete) {
-      on_tx_complete(id);
-    }
   }
   ledger_.Append(block);
 }
@@ -403,9 +400,6 @@ void ChainContext::DropTx(TxId id, VmStatus reason) {
     tx.exec_status = reason;
   }
   ++stats_.txs_dropped;
-  if (on_tx_complete) {
-    on_tx_complete(id);
-  }
 }
 
 }  // namespace diablo

@@ -6,7 +6,6 @@
 #ifndef SRC_CHAIN_NODE_H_
 #define SRC_CHAIN_NODE_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -189,12 +188,9 @@ class ChainContext {
   void SetCensoredSigners(std::vector<uint32_t> signers);
   void ClearCensoredSigners() { censored_signers_.clear(); }
 
-  // True while `node` is alive and armed with the given behavior.
+  // True while `node` is alive and armed to equivocate.
   bool ProposerEquivocates(int node) const {
     return (AdversaryBits(node) & kAdversaryEquivocate) != 0 && !NodeDown(node);
-  }
-  bool VoteWithheld(int node) const {
-    return (AdversaryBits(node) & kAdversaryWithhold) != 0 && !NodeDown(node);
   }
 
   // Detection bookkeeping: one conflicting-proposal pair witnessed.
@@ -268,9 +264,6 @@ class ChainContext {
 
   // Leader-side pending-set management cost at the current pool size.
   SimDuration PoolScanTime() const;
-
-  // Completion hook: fired once per transaction when it commits or drops.
-  std::function<void(TxId)> on_tx_complete;
 
  private:
   Simulation* sim_;

@@ -37,13 +37,11 @@ class VoteBitset {
 
   // Clears to `bits` zero bits (capacity is retained across rounds).
   void Reset(size_t bits) {
-    bits_ = bits;
     count_ = 0;
     words_.assign((bits + 63) / 64, 0);
   }
 
   bool empty() const { return words_.empty(); }
-  size_t size_bits() const { return bits_; }
 
   // Sets bit i; returns true when it was newly set (a first vote).
   bool Set(size_t i) {
@@ -86,7 +84,6 @@ class VoteBitset {
 
  private:
   std::vector<uint64_t> words_;
-  size_t bits_ = 0;
   size_t count_ = 0;
 };
 
@@ -188,22 +185,13 @@ struct MessagePlaneScratch {
 // instant). `hop_scale` multiplies each vote's network delay: on large
 // deployments votes relay through a bounded-degree p2p mesh instead of
 // travelling one hop (see GossipHopScale). Returns kUnreachable when fewer
-// than `quorum` senders vote.
-SimDuration QuorumArrival(const PairwiseDelays& delays,
-                          const std::vector<SimDuration>& send_times, size_t receiver,
-                          size_t quorum, double hop_scale = 1.0);
-
-// QuorumArrival for every receiver at once.
-std::vector<SimDuration> QuorumArrivalAll(const PairwiseDelays& delays,
-                                          const std::vector<SimDuration>& send_times,
-                                          size_t quorum, double hop_scale = 1.0);
-
-// Allocation-free forms over caller scratch; results are bit-identical to the
-// allocating versions.
+// than `quorum` senders vote. Allocation-free once `scratch` is warm.
 SimDuration QuorumArrivalInto(const PairwiseDelays& delays,
                               const std::vector<SimDuration>& send_times,
                               size_t receiver, size_t quorum, double hop_scale,
                               MessagePlaneScratch* scratch);
+
+// QuorumArrivalInto for every receiver at once; `result` is resized to n.
 void QuorumArrivalAllInto(const PairwiseDelays& delays,
                           const std::vector<SimDuration>& send_times, size_t quorum,
                           double hop_scale, MessagePlaneScratch* scratch,
@@ -217,11 +205,9 @@ double GossipHopScale(int n);
 // n-node deployment; quorum is 2f + 1.
 int ByzantineQuorum(int n);
 
-// Median of a delay vector, ignoring kUnreachable entries; kUnreachable when
-// every entry is unreachable.
-SimDuration MedianDelay(const std::vector<SimDuration>& delays);
-
-// Allocation-free MedianDelay over caller scratch; bit-identical result.
+// Median of a delay vector over caller scratch, ignoring kUnreachable
+// entries; kUnreachable when every entry is unreachable. Even-sized inputs
+// take the upper median (index size/2).
 SimDuration MedianDelayInto(const std::vector<SimDuration>& delays,
                             MessagePlaneScratch* scratch);
 

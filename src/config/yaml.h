@@ -36,7 +36,6 @@ class YamlNode {
   // requested shape.
   bool AsInt64(int64_t* out) const;
   bool AsDouble(double* out) const;
-  const std::string& AsString() const { return scalar; }
 
   // Convenience: child scalar with default.
   int64_t GetInt(std::string_view key, int64_t fallback) const;

@@ -7,9 +7,10 @@
 // returns results in submission order.
 //
 // Determinism contract: a cell's seed is a pure function of the experiment
-// grid (base seed and cell position — see CellSeed), never of thread
-// identity or scheduling, so results are bit-identical to a serial run and
-// invariant to DIABLO_JOBS.
+// grid (the seed in its setup, or CellSeed of a base seed and the cell's
+// position for grids that sweep seeds), never of thread identity or
+// scheduling, so results are bit-identical to a serial run and invariant to
+// DIABLO_JOBS.
 #ifndef SRC_CORE_PARALLEL_RUNNER_H_
 #define SRC_CORE_PARALLEL_RUNNER_H_
 

@@ -241,14 +241,6 @@ Digest256 Sha256Digest(const void* data, size_t len) {
   return hasher.Finish();
 }
 
-uint64_t DigestPrefix64(const Digest256& digest) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(digest[static_cast<size_t>(i)]) << (8 * i);
-  }
-  return value;
-}
-
 std::string DigestHex(const Digest256& digest) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::string out;

@@ -1,6 +1,6 @@
-// SHA-256 (FIPS 180-4). Used for block hashes, Merkle trees and the
-// sortition "VRF" — everywhere the simulated chains need a real
-// collision-resistant digest.
+// SHA-256 (FIPS 180-4). Used for the sortition "VRF", the checked build's
+// ledger hash chain and commit-safety digest, and the report digests that
+// golden tests and perfbench compare.
 //
 // Every block goes through one compression function, Sha256Compress. It picks
 // its kernel once per process: the x86 SHA extensions (SHA-NI) when CPUID
@@ -62,10 +62,6 @@ class Sha256 {
 // One-shot convenience.
 Digest256 Sha256Digest(std::string_view data);
 Digest256 Sha256Digest(const void* data, size_t len);
-
-// First 8 bytes of the digest as a little-endian integer; handy as a cheap
-// deterministic identifier derived from hashed content.
-uint64_t DigestPrefix64(const Digest256& digest);
 
 // Lowercase hex encoding.
 std::string DigestHex(const Digest256& digest);

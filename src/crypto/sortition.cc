@@ -16,22 +16,11 @@ double SortitionBlock::Draw(uint64_t participant, Kernel kernel) {
   std::memcpy(bytes_.data() + 24, &participant, sizeof(participant));
   Sha256State state = kSha256InitialState;
   kernel(&state, bytes_.data());
-  // DigestPrefix64 of the digest: its first 8 bytes, state[0] and state[1]
-  // big-endian, read back as a little-endian integer.
+  // The digest's first 8 bytes, state[0] and state[1] big-endian, read back
+  // as a little-endian integer.
   const uint64_t prefix = static_cast<uint64_t>(__builtin_bswap32(state[0])) |
                           static_cast<uint64_t>(__builtin_bswap32(state[1])) << 32;
   return static_cast<double>(prefix >> 11) * 0x1.0p-53;
-}
-
-double SortitionDraw(uint64_t seed, uint64_t round, uint64_t step, uint64_t participant) {
-  return SortitionBlock(seed, round, step).Draw(participant);
-}
-
-std::vector<uint32_t> SelectCommittee(uint64_t seed, uint64_t round, uint64_t step,
-                                      uint32_t population, double expected) {
-  std::vector<uint32_t> committee;
-  SelectCommitteeInto(seed, round, step, population, expected, &committee);
-  return committee;
 }
 
 void SelectCommitteeInto(uint64_t seed, uint64_t round, uint64_t step,

@@ -12,10 +12,6 @@
 
 namespace diablo {
 
-// Uniform double in [0, 1) derived from SHA-256 of the inputs. Acts as the
-// published VRF output: all honest parties compute the same value.
-double SortitionDraw(uint64_t seed, uint64_t round, uint64_t step, uint64_t participant);
-
 // The message a draw hashes — seed, round, step and participant as four
 // native-order 64-bit words, 32 bytes — already padded into the one 64-byte
 // SHA-256 block it fits: 0x80, zeros, then the bit length 256 big-endian.
@@ -27,7 +23,9 @@ class SortitionBlock {
 
   SortitionBlock(uint64_t seed, uint64_t round, uint64_t step);
 
-  // The draw for `participant`, compressed by `kernel`.
+  // The draw for `participant`, compressed by `kernel`: a uniform double in
+  // [0, 1) derived from SHA-256 of (seed, round, step, participant). It acts
+  // as the published VRF output: all honest parties compute the same value.
   double Draw(uint64_t participant, Kernel kernel = Sha256Compress);
 
  private:
@@ -35,12 +33,9 @@ class SortitionBlock {
 };
 
 // Selects a committee of expected size `expected` from `population`
-// equally-weighted participants. Returns the selected participant indices.
-std::vector<uint32_t> SelectCommittee(uint64_t seed, uint64_t round, uint64_t step,
-                                      uint32_t population, double expected);
-
-// SelectCommittee into a caller-owned vector (cleared first), so per-round
-// selection reuses one allocation.
+// equally-weighted participants: the selected indices, ascending, replace the
+// contents of the caller-owned `committee`, so per-round selection reuses one
+// allocation.
 void SelectCommitteeInto(uint64_t seed, uint64_t round, uint64_t step,
                          uint32_t population, double expected,
                          std::vector<uint32_t>* committee);

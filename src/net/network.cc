@@ -115,15 +115,6 @@ void Network::FillPairwiseDelays(const std::vector<HostId>& hosts,
   }
 }
 
-std::vector<SimDuration> Network::BroadcastDelays(HostId origin,
-                                                  const std::vector<HostId>& recipients,
-                                                  int64_t bytes, int fanout) {
-  BroadcastScratch scratch;
-  std::vector<SimDuration> result;
-  BroadcastDelaysInto(origin, recipients, bytes, fanout, &scratch, &result);
-  return result;
-}
-
 void Network::BroadcastDelaysInto(HostId origin, const std::vector<HostId>& recipients,
                                   int64_t bytes, int fanout, BroadcastScratch* scratch,
                                   std::vector<SimDuration>* out) {

@@ -91,8 +91,8 @@ class StreamedDelays {
 // holds votes from `quorum` of the `count` senders, where sender j starts at
 // send_times[j] (kUnreachable = never votes) and each vote travels
 // hop_scale relayed hops of the streamed delay model. Exactly the dense
-// QuorumArrival reduction, but the receiver's delay column is derived on the
-// fly — no n² matrix exists. `scratch` carries the arrival buffer across
+// QuorumArrivalInto reduction, but the receiver's delay column is derived on
+// the fly — no n² matrix exists. `scratch` carries the arrival buffer across
 // calls so steady-state rounds do not allocate.
 SimDuration QuorumArrivalLargeN(const StreamedDelays& delays,
                                 const SimDuration* send_times, size_t count,
@@ -129,8 +129,6 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   HostId AddHost(Region region);
-  Region HostRegion(HostId host) const { return regions_[host]; }
-  size_t host_count() const { return regions_.size(); }
 
   // Samples a one-way delay for `bytes` from `from` to `to`. Returns
   // kUnreachable when either endpoint is partitioned off (counted in
@@ -153,14 +151,10 @@ class Network {
                           std::vector<SimDuration>* out);
 
   // Delay from `origin` to each entry of `recipients` when `bytes` are
-  // disseminated through a gossip tree with the given fanout. recipients[i]
-  // may equal origin (delay 0). Unreachable hosts get kUnreachable.
-  std::vector<SimDuration> BroadcastDelays(HostId origin,
-                                           const std::vector<HostId>& recipients,
-                                           int64_t bytes, int fanout);
-
-  // BroadcastDelays into caller-owned buffers: identical tree, identical RNG
-  // draws, zero allocations once `scratch` and `result` are warm.
+  // disseminated through a gossip tree with the given fanout, written into
+  // `result` (resized to the recipient count). recipients[i] may equal origin
+  // (delay 0). Unreachable hosts get kUnreachable. Zero allocations once
+  // `scratch` and `result` are warm.
   void BroadcastDelaysInto(HostId origin, const std::vector<HostId>& recipients,
                            int64_t bytes, int fanout, BroadcastScratch* scratch,
                            std::vector<SimDuration>* result);

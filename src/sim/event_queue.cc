@@ -58,16 +58,6 @@ EventFn EventQueue::Pop(SimTime* time) {
   return fn;
 }
 
-void EventQueue::Clear() {
-  heap_.clear();
-  // Destroys every slot: pending captures are released here, popped slots
-  // are already empty.
-  slab_.clear();
-  free_.clear();
-  next_seq_ = 0;
-  DIABLO_CHECKED_ONLY(popped_any_ = false; last_pop_time_ = 0; last_pop_seq_ = 0;)
-}
-
 // The heap is 4-ary (children of i are 4i+1..4i+4): half the depth of a
 // binary heap, and the sibling scan walks contiguous memory — the classic
 // layout for large discrete-event queues. Both sift loops use hole

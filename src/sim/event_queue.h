@@ -39,9 +39,6 @@ class EventQueue {
   // Removes and returns the earliest event's callback, setting *time.
   EventFn Pop(SimTime* time);
 
-  // Drops every pending event, releasing each capture once.
-  void Clear();
-
  private:
   struct Key {
     SimTime time;

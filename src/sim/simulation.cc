@@ -20,12 +20,8 @@ void Simulation::ScheduleAt(SimTime time, EventFn fn) {
 }
 
 uint64_t Simulation::RunUntil(SimTime until) {
-  stopped_ = false;
   uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.PeekTime() > until) {
-      break;
-    }
+  while (!queue_.empty() && queue_.PeekTime() <= until) {
     SimTime time = 0;
     EventFn fn = queue_.Pop(&time);
     DIABLO_CHECK(time >= now_, "simulated time ran backwards");
@@ -34,10 +30,9 @@ uint64_t Simulation::RunUntil(SimTime until) {
     ++executed;
   }
   events_executed_ += executed;
-  // When stopping because the horizon was reached, advance the clock to it so
-  // subsequent scheduling is relative to the horizon.
-  if (!stopped_ && (queue_.empty() || queue_.PeekTime() > until) &&
-      until != std::numeric_limits<SimTime>::max() && now_ < until) {
+  // Advance the clock to a finite horizon so subsequent scheduling is
+  // relative to it.
+  if (until != std::numeric_limits<SimTime>::max() && now_ < until) {
     now_ = until;
   }
   return executed;

@@ -29,8 +29,6 @@ class ThreadPool {
   // Drains every pending task, then joins the workers.
   ~ThreadPool();
 
-  int thread_count() const { return static_cast<int>(workers_.size()); }
-
   // Enqueues `task`; the future reports completion and rethrows any
   // exception the task raised.
   std::future<void> Submit(std::function<void()> task);

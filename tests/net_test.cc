@@ -11,6 +11,18 @@
 namespace diablo {
 namespace {
 
+// BroadcastDelaysInto through the caller's scratch. Tests that broadcast more
+// than once pass one scratch to every call, so later calls run on buffers
+// left warm by earlier ones, the way an engine's scratch is;
+// BroadcastWarmScratchMatchesFresh also varies the recipient count.
+std::vector<SimDuration> Broadcast(Network& net, BroadcastScratch* scratch, HostId origin,
+                                   const std::vector<HostId>& recipients, int64_t bytes,
+                                   int fanout) {
+  std::vector<SimDuration> result;
+  net.BroadcastDelaysInto(origin, recipients, bytes, fanout, scratch, &result);
+  return result;
+}
+
 TEST(RegionTest, NamesRoundTrip) {
   for (int i = 0; i < kRegionCount; ++i) {
     const Region region = static_cast<Region>(i);
@@ -65,12 +77,13 @@ TEST(TopologyTest, IntraRegionIsDatacenterClass) {
 }
 
 TEST(TopologyTest, TransmissionDelayScalesWithBytes) {
-  const SimDuration one = Topology::TransmissionDelay(Region::kOhio, Region::kOregon, 1000);
-  const SimDuration ten = Topology::TransmissionDelay(Region::kOhio, Region::kOregon, 10000);
+  const LinkParams& link = Topology::Link(Region::kOhio, Region::kOregon);
+  const SimDuration one = Topology::TransmissionDelayOn(link, 1000);
+  const SimDuration ten = Topology::TransmissionDelayOn(link, 10000);
   EXPECT_NEAR(static_cast<double>(ten), 10.0 * static_cast<double>(one),
               static_cast<double>(one) * 0.01);
   // 1 MB over 105 Mbps is roughly 76 ms.
-  const SimDuration mb = Topology::TransmissionDelay(Region::kOhio, Region::kOregon, 1000000);
+  const SimDuration mb = Topology::TransmissionDelayOn(link, 1000000);
   EXPECT_NEAR(ToMilliseconds(mb), 76.2, 1.0);
 }
 
@@ -187,7 +200,8 @@ TEST(NetworkTest, SendStatsCountUnreachableDrops) {
   std::vector<SimDuration> matrix;
   net.FillPairwiseDelays({a, b}, 10, &matrix);
   EXPECT_EQ(matrix[1], kUnreachable);
-  EXPECT_EQ(net.BroadcastDelays(a, {a, b}, 10, 8)[1], kUnreachable);
+  BroadcastScratch scratch;
+  EXPECT_EQ(Broadcast(net, &scratch, a, {a, b}, 10, 8)[1], kUnreachable);
   EXPECT_EQ(net.stats().unreachable_drops, 2u);
   EXPECT_EQ(net.stats().loss_drops, 0u);
 }
@@ -233,7 +247,8 @@ TEST(NetworkTest, BroadcastReachesEveryone) {
   for (int i = 0; i < devnet.node_count; ++i) {
     hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
   }
-  const auto delays = net.BroadcastDelays(hosts[0], hosts, 1000, /*fanout=*/3);
+  BroadcastScratch scratch;
+  const auto delays = Broadcast(net, &scratch, hosts[0], hosts, 1000, /*fanout=*/3);
   ASSERT_EQ(delays.size(), hosts.size());
   EXPECT_EQ(delays[0], 0);  // origin
   for (size_t i = 1; i < delays.size(); ++i) {
@@ -250,7 +265,8 @@ TEST(NetworkTest, BroadcastSkipsPartitioned) {
     hosts.push_back(net.AddHost(Region::kOhio));
   }
   net.SetPartitioned(hosts[3], true);
-  const auto delays = net.BroadcastDelays(hosts[0], hosts, 100, 2);
+  BroadcastScratch scratch;
+  const auto delays = Broadcast(net, &scratch, hosts[0], hosts, 100, 2);
   EXPECT_EQ(delays[3], kUnreachable);
   EXPECT_NE(delays[1], kUnreachable);
 }
@@ -262,8 +278,9 @@ TEST(NetworkTest, LargePayloadBroadcastSlowerThanSmall) {
   for (int i = 0; i < 50; ++i) {
     hosts.push_back(net.AddHost(static_cast<Region>(i % kRegionCount)));
   }
-  const auto small = net.BroadcastDelays(hosts[0], hosts, 1000, 4);
-  const auto large = net.BroadcastDelays(hosts[0], hosts, 4000000, 4);
+  BroadcastScratch scratch;
+  const auto small = Broadcast(net, &scratch, hosts[0], hosts, 1000, 4);
+  const auto large = Broadcast(net, &scratch, hosts[0], hosts, 4000000, 4);
   double small_max = 0;
   double large_max = 0;
   for (size_t i = 0; i < hosts.size(); ++i) {
@@ -283,8 +300,9 @@ TEST(NetworkTest, GeoBroadcastSlowerThanLan) {
     lan.push_back(net.AddHost(Region::kOhio));
     wan.push_back(net2.AddHost(static_cast<Region>(i % kRegionCount)));
   }
-  const auto lan_delays = net.BroadcastDelays(lan[0], lan, 10000, 4);
-  const auto wan_delays = net2.BroadcastDelays(wan[0], wan, 10000, 4);
+  BroadcastScratch scratch;
+  const auto lan_delays = Broadcast(net, &scratch, lan[0], lan, 10000, 4);
+  const auto wan_delays = Broadcast(net2, &scratch, wan[0], wan, 10000, 4);
   double lan_max = 0;
   double wan_max = 0;
   for (size_t i = 0; i < 20; ++i) {
@@ -315,7 +333,8 @@ TEST(NetworkTest, BroadcastTreeShapeSingleRegionLock) {
   ASSERT_GT(p, 0);
   ASSERT_GT(t, 0);
 
-  auto delays = net.BroadcastDelays(hosts[0], hosts, bytes, /*fanout=*/3);
+  BroadcastScratch scratch;
+  auto delays = Broadcast(net, &scratch, hosts[0], hosts, bytes, /*fanout=*/3);
   ASSERT_EQ(delays.size(), hosts.size());
   EXPECT_EQ(delays[0], 0);
 
@@ -342,7 +361,8 @@ TEST(NetworkTest, BroadcastFanoutBelowOneBecomesChain) {
   const int64_t bytes = 50000;
   const SimDuration p = net.DelaySample(hosts[0], hosts[1], 0);
   const SimDuration t = net.DelaySample(hosts[0], hosts[1], bytes) - p;
-  const auto delays = net.BroadcastDelays(hosts[0], hosts, bytes, /*fanout=*/0);
+  BroadcastScratch scratch;
+  const auto delays = Broadcast(net, &scratch, hosts[0], hosts, bytes, /*fanout=*/0);
   std::vector<SimDuration> actual(delays.begin() + 1, delays.end());
   std::sort(actual.begin(), actual.end());
   const std::vector<SimDuration> expected = {p + t, 2 * p + 2 * t};
@@ -358,10 +378,45 @@ TEST(NetworkTest, BroadcastDeterministicPerSeed) {
     for (int i = 0; i < devnet.node_count; ++i) {
       hosts.push_back(net.AddHost(devnet.NodeRegion(i)));
     }
-    return net.BroadcastDelays(hosts[0], hosts, 20000, 3);
+    BroadcastScratch scratch;
+    return Broadcast(net, &scratch, hosts[0], hosts, 20000, 3);
   };
   EXPECT_EQ(run(21), run(21));
   EXPECT_NE(run(21), run(22));
+}
+
+TEST(NetworkTest, BroadcastWarmScratchMatchesFresh) {
+  // One scratch and one result vector carried across broadcasts whose
+  // recipient counts grow and shrink, against a fresh scratch per call on an
+  // identically seeded network: the warm path must draw and return exactly
+  // what the cold one does.
+  const std::vector<int> counts = {13, 200, 3, 50, 1, 200, 7};
+  auto hosts_of = [](Network& net) {
+    std::vector<HostId> hosts;
+    for (int i = 0; i < 200; ++i) {
+      hosts.push_back(net.AddHost(static_cast<Region>(i % kRegionCount)));
+    }
+    return hosts;
+  };
+  Simulation warm_sim(5);
+  Network warm_net(&warm_sim);
+  const std::vector<HostId> warm_hosts = hosts_of(warm_net);
+  Simulation fresh_sim(5);
+  Network fresh_net(&fresh_sim);
+  const std::vector<HostId> fresh_hosts = hosts_of(fresh_net);
+  warm_net.SetPartitioned(warm_hosts[2], true);
+  fresh_net.SetPartitioned(fresh_hosts[2], true);
+
+  BroadcastScratch scratch;
+  std::vector<SimDuration> warm;
+  for (const int count : counts) {
+    const std::vector<HostId> warm_to(warm_hosts.begin(), warm_hosts.begin() + count);
+    const std::vector<HostId> fresh_to(fresh_hosts.begin(), fresh_hosts.begin() + count);
+    warm_net.BroadcastDelaysInto(warm_to[0], warm_to, 20000, 4, &scratch, &warm);
+    BroadcastScratch cold;
+    EXPECT_EQ(warm, Broadcast(fresh_net, &cold, fresh_to[0], fresh_to, 20000, 4))
+        << "recipients " << count;
+  }
 }
 
 }  // namespace
